@@ -18,9 +18,6 @@ object Chars {
   val Candidates: Set[Char] =
     ("\t " + "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~").toSet
 
-  /** True iff `c` may be a formatting character. */
-  def isCandidate(c: Char): Boolean = c == '\n' || Candidates.contains(c)
-
   /** Distinct candidate characters present in `text` (excluding '\n'),
     * most frequent first. The generation step enumerates subsets of a
     * bounded prefix of this ranking (the paper's `c`).

@@ -31,7 +31,9 @@ final case class Inference(
     sampleLineCount: Int
 )
 
-/** One extracted record in the final unified extraction pass. */
+/** One record of the greedy cover: template index (priority order), first
+  * line, line span, and its parse.
+  */
 final case class RecordInstance(typeIdx: Int, start: Int, span: Int, parsed: Parsed)
 
 /** The DATAMARAN algorithm (paper §4): Generation -> Pruning -> Evaluation,
@@ -40,6 +42,15 @@ final case class RecordInstance(typeIdx: Int, start: Int, span: Int, parsed: Par
   * [[SparkExtract]] distributed).
   */
 object Datamaran {
+
+  /** Cap on search iterations, i.e. on interleaved record types (§9.1). */
+  val MaxRecordTypes = 8
+
+  /** Near-tie band for final selection, relative to the DL savings. */
+  val MdlTieBand = 0.02
+
+  /** Required DL savings of an accepted template vs the all-noise encoding. */
+  val MinSavings = 0.01
 
   private def timed[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()
@@ -59,7 +70,7 @@ object Datamaran {
 
     var iter = 0
     var done = false
-    while (!done && iter < p.maxRecordTypes) {
+    while (!done && iter < MaxRecordTypes) {
       iter += 1
       // ---- Generation ----
       // generation runs on a (possibly smaller) chunk subsample of the
@@ -96,14 +107,14 @@ object Datamaran {
 
         best match {
           case Some((t, sc, score))
-              if score < noiseDl * (1 - p.minSavings) &&
+              if score < noiseDl * (1 - MinSavings) &&
                 sc.anchoredChars >= p.alpha * sampleTotalChars &&
                 !acceptedCanon.contains(t.canonical) =>
             accepted += InferredType(t, score, sc.recordChars.toDouble / sampleTotalChars)
             acceptedCanon += t.canonical
             // residual: the sample minus lines covered by this type
             val covered = Array.fill(residual.length)(false)
-            for ((st, span, _) <- sc.records; i <- st until (st + span)) covered(i) = true
+            for (r <- sc.records; i <- r.start until (r.start + r.span)) covered(i) = true
             residual = residual.indices.collect {
               case i if !covered(i) => residual(i)
             }.toIndexedSeq
@@ -143,19 +154,21 @@ object Datamaran {
     if (evaluated.isEmpty) None
     else {
       val minScore = evaluated.map(_._3).min
-      val cut = minScore + p.mdlTieBand * math.max(1.0, noiseDl - minScore)
+      val cut = minScore + MdlTieBand * math.max(1.0, noiseDl - minScore)
       val band = evaluated.filter(_._3 <= cut)
       Some(band.minBy { case (t, sc, score) =>
-        (-sc.records.length, sc.records.head._1, score, t.encodedLength)
+        (-sc.records.length, sc.records.head.start, score, t.encodedLength)
       })
     }
   }
 
-  /** Unified final extraction: one left-to-right scan over all lines; at
-    * each position the accepted templates are tried in acceptance order
-    * (the first iteration's type has priority) with their smallest matching
-    * span; unmatched lines are noise. [[SparkExtract.extract]] implements
-    * the same contract distributed and is tested for equivalence.
+  /** The greedy record cover, shared by final extraction and MDL
+    * evaluation ([[Mdl.scan]] runs it with a single template): one
+    * left-to-right scan over all lines; at each position the templates are
+    * tried in priority order (the first iteration's type first) with their
+    * smallest matching span; unmatched lines are noise.
+    * [[SparkExtract.extract]] implements the same contract distributed and
+    * is tested for equivalence.
     */
   def extract(
       lines: IndexedSeq[String],
@@ -166,10 +179,9 @@ object Datamaran {
     var i = 0
     while (i < lines.length) {
       matchAt(lines, i, templates, maxSpan) match {
-        case Some((tid, span)) =>
-          val parsed = Matcher.parse(templates(tid), Matcher.joinLines(lines, i, span)).get
-          out += RecordInstance(tid, i, span, parsed)
-          i += span
+        case Some(r) =>
+          out += r
+          i += r.span
         case None =>
           i += 1
       }
@@ -178,19 +190,19 @@ object Datamaran {
   }
 
   /** Shared match rule: first template (in priority order) with a smallest
-    * matching span at `start`.
+    * matching span at `start`, with its parse.
     */
   def matchAt(
       lines: IndexedSeq[String],
       start: Int,
       templates: Vector[Template],
       maxSpan: Int
-  ): Option[(Int, Int)] = {
+  ): Option[RecordInstance] = {
     var tid = 0
     while (tid < templates.length) {
       Matcher.smallestSpanAt(templates(tid), lines, start, maxSpan) match {
-        case Some(span) => return Some((tid, span))
-        case None       => ()
+        case Some((span, parsed)) => return Some(RecordInstance(tid, start, span, parsed))
+        case None                 => ()
       }
       tid += 1
     }

@@ -29,16 +29,17 @@ final case class DmParams(
     topM: Int = 50,                // M: templates kept after pruning
     exhaustive: Boolean = true,    // exhaustive vs greedy RT-CharSet search
     maxExhaustiveChars: Int = 7,   // cap on c for the 2^c enumeration
-    maxGreedyChars: Int = 10,      // cap on c for the greedy O(c^2) search
     sampleMaxChars: Int = 400_000, // S_data bound for evaluation (§9.1)
-    genSampleMaxChars: Int = 120_000, // S_data bound for generation (§9.1)
-    sampleChunkLines: Int = 250,   // lines per sampled chunk
-    maxRecordTypes: Int = 8,       // iterations for interleaved datasets
-    mdlTieBand: Double = 0.02,     // near-tie band for final selection
-    minSavings: Double = 0.01      // required DL savings vs the all-noise encoding
+    genSampleMaxChars: Int = 120_000 // S_data bound for generation (§9.1)
 )
 
 object Generation {
+
+  /** Cap on c for the greedy O(c^2) RT-CharSet search. */
+  val MaxGreedyChars = 10
+
+  /** Lines per sampled chunk. */
+  val SampleChunkLines = 250
 
   /** Evenly spaced chunk sampling (paper §9.1 "Sampling Technique"): take
     * whole chunks of consecutive lines, concatenated, until `maxChars` is
@@ -47,7 +48,7 @@ object Generation {
   def sampleLines(lines: IndexedSeq[String], p: DmParams): IndexedSeq[String] = {
     val total = lines.iterator.map(_.length + 1L).sum
     if (total <= p.sampleMaxChars) return lines
-    val chunk = p.sampleChunkLines
+    val chunk = SampleChunkLines
     val nChunks = math.max(1, (lines.length + chunk - 1) / chunk)
     // how many chunks fit the budget, assuming average line length
     val avgLine = total.toDouble / lines.length
@@ -167,13 +168,11 @@ object Generation {
   }
 
   /** Deduplicated candidate records of a line window scan: all contiguous
-    * line ranges of span 1..L. `multiplicity` counts how many boundary pairs
-    * produced the identical text, so coverage accounting matches the
-    * non-deduplicated enumeration.
+    * line ranges of span 1..L; `posTextId` maps each boundary pair to its
+    * text.
     */
   final class CandidateIndex(
       val texts: Array[String],
-      val multiplicity: Array[Long],
       enumChars: Vector[Char],
       val totalChars: Long,
       /** textId at (line * maxSpan + span - 1), or -1 when out of range. */
@@ -184,7 +183,7 @@ object Generation {
       val maxSpan: Int
   ) {
     // Bit positions only for characters the search will ever enumerate
-    // (bounded by maxExhaustiveChars/maxGreedyChars, far below 64).
+    // (bounded by maxExhaustiveChars/MaxGreedyChars, far below 64).
     private val charToBit: Map[Char, Int] = enumChars.zipWithIndex.toMap
     val specialMask: Array[Long] = texts.map { t =>
       var m = 0L
@@ -215,7 +214,6 @@ object Generation {
     val L = p.maxSpan
     val byText = mutable.HashMap.empty[String, Int]
     val texts = mutable.ArrayBuffer.empty[String]
-    val mult = mutable.ArrayBuffer.empty[Long]
     val posTextId = Array.fill(n * L)(-1)
     var i = 0
     while (i < n) {
@@ -225,11 +223,9 @@ object Generation {
         sb.append(lines(i + span - 1)).append('\n')
         val text = sb.toString
         if (text.length <= 8192) {
-          val id = byText.getOrElseUpdate(text, {
-            texts += text; mult += 0L; texts.length - 1
+          posTextId(i * L + span - 1) = byText.getOrElseUpdate(text, {
+            texts += text; texts.length - 1
           })
-          mult(id) += 1
-          posTextId(i * L + span - 1) = id
         }
         span += 1
       }
@@ -239,7 +235,7 @@ object Generation {
     i = 0
     while (i < n) { pref(i + 1) = pref(i) + lines(i).length + 1; i += 1 }
     new CandidateIndex(
-      texts.toArray, mult.toArray, enumChars, pref(n), posTextId, pref, n, L)
+      texts.toArray, enumChars, pref(n), posTextId, pref, n, L)
   }
 
   /** Exhaustive RT-CharSet search: enumerate all subsets of the (at most
@@ -270,7 +266,7 @@ object Generation {
     */
   def greedySearch(lines: IndexedSeq[String], p: DmParams): Vector[TemplateStat] = {
     val chars = Chars.specialsByFrequency(lines.mkString("\n"))
-      .take(p.maxGreedyChars)
+      .take(MaxGreedyChars)
     val cand = buildCandidates(lines, p, chars)
     val memo = new GenMemo
     val pool = Vector.newBuilder[TemplateStat]

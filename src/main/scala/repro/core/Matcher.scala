@@ -31,10 +31,6 @@ final case class ArraySeg(path: String, text: String, elems: Vector[Vector[Seg]]
 final case class Parsed(segs: Vector[Seg]) extends Serializable {
   def text: String = segs.iterator.map(_.text).mkString
 
-  /** Struct-level fields in template order: (path, value). */
-  def structFields: Vector[(String, String)] =
-    segs.collect { case FieldSeg(p, v) => (p, v) }
-
   /** All field values pooled per column path, arrays flattened — the input
     * to MDL field typing.
     */
@@ -151,29 +147,27 @@ object Matcher {
   }
 
   /** Smallest line span s in [t.minLines, maxSpan] such that
-    * lines[start .. start+s) parse as one record of `t`; the record text is
-    * the joined lines each terminated by '\n'.
+    * lines[start .. start+s) parse as one record of `t`, together with that
+    * parse; the record text is the joined lines each terminated by '\n'.
     */
   def smallestSpanAt(
       t: Template,
       lines: IndexedSeq[String],
       start: Int,
       maxSpan: Int
-  ): Option[Int] = {
-    if (start >= lines.length) return None
-    if (t.fixedLineSpan) {
-      val s = t.minLines
-      if (s < 1 || s > maxSpan || start + s > lines.length) return None
-      if (parse(t, joinLines(lines, start, s)).isDefined) Some(s) else None
-    } else {
-      var s = math.max(1, t.minLines)
-      val lim = math.min(maxSpan, lines.length - start)
-      while (s <= lim) {
-        if (parse(t, joinLines(lines, start, s)).isDefined) return Some(s)
-        s += 1
+  ): Option[(Int, Parsed)] = {
+    val first = math.max(1, t.minLines)
+    // a fixed-span template has a single candidate span
+    val widest = if (t.fixedLineSpan) first else maxSpan
+    val last = math.min(math.min(widest, maxSpan), lines.length - start)
+    var s = first
+    while (s <= last) {
+      parse(t, joinLines(lines, start, s)) match {
+        case Some(parsed) => return Some((s, parsed))
+        case None         => s += 1
       }
-      None
     }
+    None
   }
 
   /** lines[start .. start+span) joined with each line '\n'-terminated. */

@@ -17,11 +17,11 @@ import scala.collection.mutable
   */
 object Mdl {
 
-  /** One scan of `lines` with a template: greedy left-to-right, at each line
-    * try the smallest matching span, otherwise the line is noise.
+  /** One scan of `lines` with a template: the greedy record cover of
+    * [[Datamaran.extract]] with that template alone, plus its accounting.
     */
   final case class ParseScan(
-      records: Vector[(Int, Int, Parsed)], // (startLine, span, parsed)
+      records: Vector[RecordInstance],
       noiseLines: Vector[Int],
       recordChars: Long,
       /** record chars excluding completely unconstrained template lines
@@ -32,8 +32,6 @@ object Mdl {
       totalChars: Long
   ) {
     def coverage: Double = if (totalChars == 0) 0.0 else recordChars.toDouble / totalChars
-    def anchoredCoverage: Double =
-      if (totalChars == 0) 0.0 else anchoredChars.toDouble / totalChars
   }
 
   /** Indices of top-level line groups of `t` that are a bare `F\n`. */
@@ -47,31 +45,22 @@ object Mdl {
     }
 
   def scan(t: Template, lines: IndexedSeq[String], maxSpan: Int): ParseScan = {
-    val records = Vector.newBuilder[(Int, Int, Parsed)]
+    val records = Datamaran.extract(lines, Vector(t), maxSpan)
     val noise = Vector.newBuilder[Int]
     val bare = if (t.fixedLineSpan) bareLineOffsets(t) else Set.empty[Int]
+    def lineChars(i: Int): Long = lines(i).length + 1L
     var recordChars = 0L
-    var anchored = 0L
-    var i = 0
-    while (i < lines.length) {
-      Matcher.smallestSpanAt(t, lines, i, maxSpan) match {
-        case Some(span) =>
-          val text = Matcher.joinLines(lines, i, span)
-          val parsed = Matcher.parse(t, text).get
-          records += ((i, span, parsed))
-          recordChars += text.length
-          anchored += text.length
-          if (bare.nonEmpty && span == t.minLines) {
-            for (off <- bare if off < span) anchored -= (lines(i + off).length + 1)
-          }
-          i += span
-        case None =>
-          noise += i
-          i += 1
-      }
+    var bareChars = 0L
+    var next = 0 // first line after the previous record
+    for (r <- records) {
+      while (next < r.start) { noise += next; next += 1 }
+      while (next < r.start + r.span) { recordChars += lineChars(next); next += 1 }
+      // a fixed-span template has exactly one line per top-level line group
+      for (off <- bare) bareChars += lineChars(r.start + off)
     }
+    while (next < lines.length) { noise += next; next += 1 }
     val total = lines.iterator.map(_.length + 1L).sum
-    ParseScan(records.result(), noise.result(), recordChars, anchored, total)
+    ParseScan(records, noise.result(), recordChars, recordChars - bareChars, total)
   }
 
   /** Field value type with its per-value description cost in bits.
@@ -176,11 +165,11 @@ object Mdl {
 
   /** Description length of a scanned dataset under template `t`. */
   def score(t: Template, sc: ParseScan, lines: IndexedSeq[String]): Double = {
-    val types = columnTypes(sc.records.map(_._3))
+    val types = columnTypes(sc.records.map(_.parsed))
     // bits to encode an array repetition count: from the observed maximum
     val maxRep = mutable.HashMap.empty[String, Int]
-    for ((_, _, r) <- sc.records)
-      r.visit(_ => (), (p, k) => maxRep.update(p, math.max(maxRep.getOrElse(p, 1), k)))
+    for (r <- sc.records)
+      r.parsed.visit(_ => (), (p, k) => maxRep.update(p, math.max(maxRep.getOrElse(p, 1), k)))
     val repBits = maxRep.map { case (p, mx) =>
       p -> math.max(1.0, math.ceil(log2(mx + 1.0)))
     }
@@ -188,9 +177,9 @@ object Mdl {
     var total = t.encodedLength * 8.0 + 32.0
     total += (sc.records.length + sc.noiseLines.length).toDouble // block flags
     total += types.valuesIterator.map(_.overheadBits).sum
-    for ((_, _, r) <- sc.records) {
+    for (r <- sc.records) {
       var acc = 0.0
-      r.visit(
+      r.parsed.visit(
         f => acc += types(f.path).bitsPer(f.text),
         (p, _) => acc += repBits.getOrElse(p, 1.0)
       )

@@ -60,7 +60,7 @@ object Refine {
   /** Observed repetition counts per array path from a parse scan. */
   def observedCounts(sc: Mdl.ParseScan): Map[String, Set[Int]] = {
     val m = mutable.HashMap.empty[String, mutable.Set[Int]]
-    for ((_, _, r) <- sc.records; (p, k) <- r.arrayCounts)
+    for (r <- sc.records; (p, k) <- r.parsed.arrayCounts)
       m.getOrElseUpdate(p, mutable.Set.empty) += k
     m.iterator.map { case (k, v) => k -> v.toSet }.toMap
   }
@@ -142,13 +142,13 @@ object Refine {
     // pick the earliest first occurrence (ties keep the original)
     val shifts = cyclicShifts(t)
     if (shifts.nonEmpty) {
-      val origFirst = sc.records.headOption.map(_._1).getOrElse(Int.MaxValue)
+      val origFirst = sc.records.headOption.map(_.start).getOrElse(Int.MaxValue)
       var bestT = t; var bestSc = sc; var bestScore = score; var bestFirst = origFirst
       for (s <- shifts) {
         val ssc = Mdl.scan(s, lines, maxSpan)
         if (ssc.records.nonEmpty) {
           val sscore = Mdl.score(s, ssc, lines)
-          val first = ssc.records.head._1
+          val first = ssc.records.head.start
           if (sscore <= bestScore * 1.02 && first < bestFirst) {
             bestT = s; bestSc = ssc; bestScore = sscore; bestFirst = first
           }

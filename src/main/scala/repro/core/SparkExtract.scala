@@ -15,8 +15,10 @@ import org.apache.spark.sql.types._
   *  line — is resolved greedily left-to-right into a non-overlapping record
   *  cover, exactly the contract of [[Datamaran.extract]].
   *
-  *  Phase 2 (parallel): partitions re-parse the accepted spans and emit the
-  *  normalized relational rows (paper §3.3/Fig 7) as DataFrames.
+  *  Phase 2 (parallel): partitions re-parse the accepted spans (only the
+  *  (start, templateId, span) stream crosses the stage boundary, not the
+  *  phase-1 parses) and emit the normalized relational rows (paper §3.3/Fig 7)
+  *  as DataFrames.
   *
   * Tests assert equivalence with the sequential extractor, including
   * records straddling partition boundaries.
@@ -82,9 +84,7 @@ object SparkExtract {
           val window: IndexedSeq[String] = buf.map(_._2).toIndexedSeq ++ tail
           val base = buf.head._1
           buf.indices.iterator.flatMap { i =>
-            Datamaran.matchAt(window, i, ts, maxSpan).map {
-              case (tid, span) => (base + i, tid, span)
-            }
+            Datamaran.matchAt(window, i, ts, maxSpan).map(r => (base + i, r.typeIdx, r.span))
           }
         }
       }

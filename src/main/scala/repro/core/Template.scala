@@ -73,16 +73,6 @@ final case class Template private (items: Vector[TElem]) extends Serializable {
     */
   lazy val fixedLineSpan: Boolean = !Template.newlineInRepeatablePosition(items)
 
-  /** Total number of field placeholders, counting array bodies once. */
-  lazy val fieldCount: Int = {
-    def walk(es: Vector[TElem]): Int = es.map {
-      case TField         => 1
-      case TChar(_)       => 0
-      case TArray(b, _, _) => walk(b)
-    }.sum
-    walk(items)
-  }
-
   /** Length of the canonical string — the `len(ST)` of the MDL formula. */
   def encodedLength: Int = canonical.length
 
@@ -97,15 +87,9 @@ object Template {
 
   def apply(items: Vector[TElem]): Template = {
     require(items.nonEmpty, "empty template")
+    require(endsLine(items.last), s"template must end a line: ${pretty(items)}")
     new Template(items)
   }
-
-  /** Construct without the trailing-newline requirement check — the factory
-    * for all real templates; kept as one entry point so the invariant is
-    * documented in a single place. Templates produced from record text always
-    * end in '\n' because the text does.
-    */
-  def ofRecord(items: Vector[TElem]): Template = apply(items)
 
   private[core] def encode(items: Vector[TElem]): String = {
     val sb = new StringBuilder

@@ -205,19 +205,4 @@ object TemplateOps {
     if (!hasField || totalItems > MaxTemplateItems) None
     else Some((encoded.toString, text.length - litChars))
   }
-
-  /** Number of characters of `text` that are field content under `cs`
-    * (record length minus formatting characters). Used by the assimilation
-    * score's Non-Field-Coverage term.
-    */
-  def fieldCharCount(text: String, cs: Set[Char]): Int = {
-    var cnt = 0
-    var i = 0
-    while (i < text.length) {
-      val ch = text.charAt(i)
-      if (ch != '\n' && !cs.contains(ch)) cnt += 1
-      i += 1
-    }
-    cnt
-  }
 }

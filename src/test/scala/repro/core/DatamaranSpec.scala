@@ -132,8 +132,10 @@ class DatamaranSpec extends AnyFunSuite {
   test("matchAt returns the first template in priority order") {
     val t1 = Template(Vector(TField, TChar(','), TField, TChar('\n')))
     val t2 = Template(Vector(TArray(Vector(TField), ',', '\n')))
-    assert(Datamaran.matchAt(Vector("x,y"), 0, Vector(t1, t2), 10).contains((0, 1)))
-    assert(Datamaran.matchAt(Vector("x,y,z"), 0, Vector(t1, t2), 10).contains((1, 1)))
+    def typeAndSpan(line: String) =
+      Datamaran.matchAt(Vector(line), 0, Vector(t1, t2), 10).map(r => (r.typeIdx, r.span))
+    assert(typeAndSpan("x,y").contains((0, 1)))
+    assert(typeAndSpan("x,y,z").contains((1, 1)))
   }
 
   test("timings are accumulated and non-negative") {

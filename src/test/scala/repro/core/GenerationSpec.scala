@@ -24,7 +24,7 @@ class GenerationSpec extends AnyFunSuite {
     val lines = Vector("x,y", "x,y", "x,y")
     val cand = Generation.buildCandidates(lines, p.copy(maxSpan = 1), Vector(','))
     assert(cand.texts.length == 1)
-    assert(cand.multiplicity.head == 3)
+    assert(cand.posTextId.toVector == Vector(0, 0, 0))
   }
 
   test("buildCandidates line prefix sums count the newline") {
@@ -103,13 +103,13 @@ class GenerationSpec extends AnyFunSuite {
 
   test("sampleLines bounds large datasets and keeps whole chunks") {
     val lines = (0 until 50000).map(i => s"line-$i-" + "x" * 40).toVector
-    val pp = DmParams(sampleMaxChars = 100000, sampleChunkLines = 100)
-    val sample = Generation.sampleLines(lines, pp)
+    val chunk = Generation.SampleChunkLines
+    val sample = Generation.sampleLines(lines, DmParams(sampleMaxChars = 100000))
     val chars = sample.map(_.length + 1L).sum
     assert(chars <= 150000, s"sample too big: $chars")
-    assert(sample.length >= 100)
+    assert(sample.length >= chunk)
     // chunks are contiguous runs of the original
-    assert(sample.take(100) == lines.take(100))
+    assert(sample.take(chunk) == lines.take(chunk))
   }
 
   test("sampleLines is deterministic") {

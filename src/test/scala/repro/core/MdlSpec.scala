@@ -16,7 +16,7 @@ class MdlSpec extends AnyFunSuite {
     // comma-free junk line WOULD match it as a single-element array
     val lines = Vector("1,2", "oops,", "3,4")
     val sc = Mdl.scan(csv, lines, 10)
-    assert(sc.records.map(_._1) == Vector(0, 2))
+    assert(sc.records.map(_.start) == Vector(0, 2))
     assert(sc.noiseLines == Vector(1))
   }
 
@@ -29,7 +29,7 @@ class MdlSpec extends AnyFunSuite {
     val t = Template(Vector(F, c(':'), F, c('\n'), c('!'), c('\n')))
     val lines = Vector("a:b", "!", "a:c", "!", "x")
     val sc = Mdl.scan(t, lines, 10)
-    assert(sc.records.map(r => (r._1, r._2)) == Vector((0, 2), (2, 2)))
+    assert(sc.records.map(r => (r.start, r.span)) == Vector((0, 2), (2, 2)))
     assert(sc.noiseLines == Vector(4))
   }
 

@@ -96,7 +96,7 @@ class RefineSpec extends AnyFunSuite {
     val shifted = Template(Vector(
       c('v'), c(':'), F, c('\n'), c('H'), c('='), F, c('\n')))
     val (t, sc, _) = Refine.refine(shifted, lines, 10)
-    assert(sc.records.head._1 == 0, s"refined=${t.pretty} first=${sc.records.head._1}")
+    assert(sc.records.head.start == 0, s"refined=${t.pretty} first=${sc.records.head.start}")
     assert(t.pretty.startsWith("H="), t.pretty)
   }
 }

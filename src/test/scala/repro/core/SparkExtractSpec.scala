@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.loggen._
-import scala.collection.mutable
 
 /** Distributed extraction: equivalence with the sequential extractor,
   * relational output correctness, and a DuckDB oracle round-trip.
@@ -84,25 +83,6 @@ class SparkExtractSpec extends SparkSpec {
     val ex = SparkExtract.extract(spark, rdd, Vector(t1, t2), 10)
     val got = ex.records.collect().map(r => (r.getLong(1), r.getInt(0))).sortBy(_._1).toVector
     assert(got == Vector((0L, 0), (1L, 1), (2L, 0)))
-  }
-
-  test("SparkGen.templateCoverage matches local genST for a fixed charset") {
-    val gt = crashGt(80, 0.05, 25)
-    val p = DmParams(sampleMaxChars = Int.MaxValue)
-    val cs = Set(':', ' ', '=')
-    // local, without the alpha filter: collect raw bin sums
-    val localBins = mutable.HashMap.empty[String, (Long, Long)]
-    for (i <- gt.lines.indices; span <- 1 to p.maxSpan if i + span <= gt.lines.length) {
-      val text = Matcher.joinLines(gt.lines, i, span)
-      TemplateOps.minimalTemplate(text, cs).foreach { t =>
-        val cur = localBins.getOrElse(t.canonical, (0L, 0L))
-        localBins(t.canonical) = (cur._1 + text.length, cur._2 + 1)
-      }
-    }
-    val rdd = spark.sparkContext.parallelize(gt.lines, 6)
-    val df = SparkGen.templateCoverage(spark, rdd, Seq(cs), p.maxSpan)
-    val got = df.collect().map(r => r.getString(1) -> (r.getLong(2), r.getLong(4))).toMap
-    assert(got.view.mapValues(identity).toMap == localBins.toMap)
   }
 
   test("oracle round-trip: extracted lineitem log aggregates match DuckDB") {

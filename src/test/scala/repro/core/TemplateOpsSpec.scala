@@ -131,11 +131,6 @@ class TemplateOpsSpec extends AnyFunSuite {
     assert(TemplateOps.minimalTemplate(text, ",".toSet).isEmpty)
   }
 
-  test("fieldCharCount counts non-formatting characters") {
-    assert(TemplateOps.fieldCharCount("ab,cd\n", ",".toSet) == 4)
-    assert(TemplateOps.fieldCharCount("ab,cd\n", "".toSet) == 5)
-  }
-
   // ---- properties
 
   private val genCsvLine: Gen[(Int, String)] = for {

@@ -60,11 +60,6 @@ class TemplateSpec extends AnyFunSuite {
     assert(t.minLines == 1)
   }
 
-  test("fieldCount counts array bodies once") {
-    val t = Template(Vector(F, c(','), TArray(Vector(F, c(':'), F), ',', '\n')))
-    assert(t.fieldCount == 3)
-  }
-
   test("TArray rejects sep == term") {
     assertThrows[IllegalArgumentException](TArray(Vector(F), ',', ','))
   }
@@ -75,6 +70,10 @@ class TemplateSpec extends AnyFunSuite {
 
   test("Template rejects empty item list") {
     assertThrows[IllegalArgumentException](Template(Vector.empty))
+  }
+
+  test("Template rejects a template that does not end a line") {
+    assertThrows[IllegalArgumentException](Template(Vector(TField, TChar(','))))
   }
 
   // ---- property: encode/decode roundtrip over random templates
