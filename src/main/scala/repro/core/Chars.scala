@@ -18,20 +18,21 @@ object Chars {
   val Candidates: Set[Char] =
     ("\t " + "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~").toSet
 
-  /** Distinct candidate characters present in `text` (excluding '\n'),
-    * most frequent first. The generation step enumerates subsets of a
-    * bounded prefix of this ranking (the paper's `c`).
+  /** Distinct candidate characters present in `lines`, most frequent
+    * first, ties by character code. The generation step enumerates subsets
+    * of a bounded prefix of this ranking (the paper's `c`).
     */
-  def specialsByFrequency(text: CharSequence): Vector[Char] = {
-    val counts = new java.util.HashMap[Char, Long]()
-    var i = 0
-    while (i < text.length) {
-      val ch = text.charAt(i)
-      if (ch != '\n' && Candidates.contains(ch)) counts.merge(ch, 1L, _ + _)
-      i += 1
+  def specialsByFrequency(lines: Iterable[String]): Vector[Char] = {
+    val counts = new Array[Long](128) // every candidate is ASCII
+    lines.foreach { line =>
+      var i = 0
+      while (i < line.length) {
+        val ch = line.charAt(i)
+        if (ch < 128) counts(ch.toInt) += 1
+        i += 1
+      }
     }
-    import scala.jdk.CollectionConverters._
-    counts.asScala.toVector.sortBy { case (ch, n) => (-n, ch.toInt) }.map(_._1)
+    Candidates.toVector.filter(c => counts(c.toInt) > 0).sortBy(c => (-counts(c.toInt), c.toInt))
   }
 
   /** Render a character for human-readable template display. */

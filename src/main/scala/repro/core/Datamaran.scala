@@ -1,24 +1,33 @@
 package repro.core
 
-/** Wall-clock of the three DATAMARAN steps plus extraction (paper Table 3).
-  * Milliseconds, accumulated across interleaved-type iterations.
+/** Wall-clock of the three DATAMARAN steps plus extraction (paper Table 3),
+  * accumulated in nanoseconds across interleaved-type iterations. The
+  * millisecond accessors round down once, over the sum, so steps shorter
+  * than a millisecond still add up.
   */
 final case class StepTimings(
-    generationMs: Long,
-    pruningMs: Long,
-    evaluationMs: Long,
-    extractionMs: Long
+    generationNs: Long,
+    pruningNs: Long,
+    evaluationNs: Long,
+    extractionNs: Long
 ) {
   def +(o: StepTimings): StepTimings = StepTimings(
-    generationMs + o.generationMs,
-    pruningMs + o.pruningMs,
-    evaluationMs + o.evaluationMs,
-    extractionMs + o.extractionMs
+    generationNs + o.generationNs,
+    pruningNs + o.pruningNs,
+    evaluationNs + o.evaluationNs,
+    extractionNs + o.extractionNs
   )
-  def searchMs: Long = generationMs + pruningMs + evaluationMs
-  def totalMs: Long = searchMs + extractionMs
+  def generationMs: Long = generationNs / StepTimings.NsPerMs
+  def pruningMs: Long = pruningNs / StepTimings.NsPerMs
+  def evaluationMs: Long = evaluationNs / StepTimings.NsPerMs
+  def extractionMs: Long = extractionNs / StepTimings.NsPerMs
+  def searchMs: Long = (generationNs + pruningNs + evaluationNs) / StepTimings.NsPerMs
+  def totalMs: Long = (generationNs + pruningNs + evaluationNs + extractionNs) / StepTimings.NsPerMs
 }
-object StepTimings { val zero: StepTimings = StepTimings(0, 0, 0, 0) }
+object StepTimings {
+  val zero: StepTimings = StepTimings(0, 0, 0, 0)
+  private val NsPerMs = 1000000L
+}
 
 /** One accepted record type. */
 final case class InferredType(template: Template, mdlScore: Double, sampleCoverage: Double)
@@ -55,7 +64,7 @@ object Datamaran {
   private def timed[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val r = f
-    (r, (System.nanoTime() - t0) / 1000000L)
+    (r, System.nanoTime() - t0)
   }
 
   /** Structure search over (a sample of) `lines`. */
@@ -75,7 +84,7 @@ object Datamaran {
       // ---- Generation ----
       // generation runs on a (possibly smaller) chunk subsample of the
       // evaluation sample — the paper's S_data bound applies to both steps
-      val (stats, genMs) = timed {
+      val (stats, genNs) = timed {
         val genLines = Generation.sampleLines(
           residual, p.copy(sampleMaxChars = math.min(p.genSampleMaxChars, p.sampleMaxChars)))
         if (p.exhaustive) Generation.exhaustiveSearch(genLines, p)
@@ -86,24 +95,24 @@ object Datamaran {
       // sample (Assumption 1); only exclude already-accepted templates here
       val fresh = stats.filterNot(s => acceptedCanon.contains(s.template.canonical))
       if (fresh.isEmpty) {
-        timings += StepTimings(genMs, 0, 0, 0)
+        timings += StepTimings(genNs, 0, 0, 0)
         done = true
       } else {
         // ---- Pruning ----
         // canonicalize k-fold self-concatenations to their period first:
         // stacks tie with the true template under unique coverage and would
         // otherwise crowd out the top-M and waste evaluation time
-        val (top, pruneMs) = timed {
+        val (top, pruneNs) = timed {
           val collapsed = Generation.dedupe(
             fresh.map(s => s.copy(template = Refine.periodReduce(s.template))))
           Generation.prune(collapsed, p)
         }
         // ---- Evaluation ----
-        val ((best, noiseDl), evalMs) = timed {
+        val ((best, noiseDl), evalNs) = timed {
           val noiseDl = Mdl.noiseBaseline(residual)
           (evaluateBest(top, residual, p, noiseDl), noiseDl)
         }
-        timings += StepTimings(genMs, pruneMs, evalMs, 0)
+        timings += StepTimings(genNs, pruneNs, evalNs, 0)
 
         best match {
           case Some((t, sc, score))
@@ -212,7 +221,7 @@ object Datamaran {
   /** Convenience: full pipeline on in-memory lines, timing extraction too. */
   def run(lines: IndexedSeq[String], p: DmParams = DmParams()): (Inference, Vector[RecordInstance]) = {
     val inf = infer(lines, p)
-    val (recs, exMs) = timed(extract(lines, inf.types.map(_.template), p.maxSpan))
-    (inf.copy(timings = inf.timings + StepTimings(0, 0, 0, exMs)), recs)
+    val (recs, exNs) = timed(extract(lines, inf.types.map(_.template), p.maxSpan))
+    (inf.copy(timings = inf.timings + StepTimings(0, 0, 0, exNs)), recs)
   }
 }

@@ -68,174 +68,237 @@ object Generation {
     out.result()
   }
 
-  /** The paper's GenST(char_set): enumerate all candidate records (pairs of
-    * line boundaries at most L lines apart), extract + reduce each, and
-    * accumulate per-template coverage in a hash table; keep bins with at
-    * least alpha% coverage of the scanned text.
+  /** Longest candidate record text (characters, '\n' included) considered. */
+  private val MaxCandidateChars = 8192
+
+  /** The generation sample's per-line tables, shared by every charset one
+    * search enumerates.
     *
-    * `memo` caches (candidate text, effective charset) -> canonical template,
-    * shared across charset enumerations: a charset is first intersected with
-    * the candidate's own special characters, so different enumerated subsets
-    * frequently hit the same cache line.
+    *  - `enumChars`: the `maxChars` most frequent special characters of the
+    *    sample (the paper's c); bit b of a charset mask stands for
+    *    `enumChars(b)`.
+    *  - Per distinct line text: its mask of enumerated characters, and a
+    *    table over its effective charsets (line mask ∩ enumerated subset)
+    *    of the interned id and literal-character count of its minimal
+    *    template, filled on first use. Each line's table is sized by its
+    *    own enumerated characters, not by 2^c.
     */
-  private final class BinAcc {
-    var sumCov = 0L
-    var sumNf = 0L
-    var count = 0L
-    val spans = mutable.ArrayBuffer.empty[Long] // (startLine << 16) | span
-  }
+  final class LineIndex(lines: IndexedSeq[String], val maxSpan: Int, maxChars: Int) {
+    val enumChars: Vector[Char] = Chars.specialsByFrequency(lines).take(maxChars)
+    val nLines: Int = lines.length
 
-  /** Shared memoization across the charset enumeration of one search:
-    * per-(candidate, effective-charset) results, plus the reduction cache
-    * keyed on the pre-reduction record template (see
-    * [[TemplateOps.minimalCanonical]]).
-    */
-  final class GenMemo {
-    val perCandidate = mutable.HashMap.empty[(Int, Long), Option[(String, Int)]]
-    val reduceCaches = new TemplateOps.ReduceCaches
-  }
-
-  def genST(
-      lines: IndexedSeq[String],
-      cs: Set[Char],
-      p: DmParams,
-      memo: GenMemo,
-      candidates: CandidateIndex
-  ): Vector[TemplateStat] = {
-    val totalChars = candidates.totalChars
-    val bins = mutable.HashMap.empty[String, BinAcc]
-    val csMaskAll = candidates.maskOf(cs)
-    val n = candidates.nLines
-    val L = candidates.maxSpan
-    var i = 0
-    while (i < n) {
-      var span = 1
-      while (span <= L) {
-        val ci = candidates.posTextId(i * L + span - 1)
-        if (ci >= 0) {
-          val text = candidates.texts(ci)
-          val effMask = csMaskAll & candidates.specialMask(ci)
-          val res = memo.perCandidate.getOrElseUpdate((ci, effMask), {
-            val effCs = candidates.charsOf(effMask)
-            TemplateOps.minimalCanonical(text, effCs, memo.reduceCaches)
-          })
-          res match {
-            case Some((canon, fieldChars)) =>
-              val bin = bins.getOrElseUpdate(canon, new BinAcc)
-              bin.sumCov += text.length
-              bin.sumNf += (text.length - fieldChars)
-              bin.count += 1
-              bin.spans += ((i.toLong << 16) | span)
-            case None => ()
-          }
-        }
-        span += 1
-      }
-      i += 1
-    }
-    val thresh = p.alpha * totalChars
-    bins.iterator.flatMap { case (canon, bin) =>
-      val cov = uniqueCoverage(bin.spans, candidates.linePrefix)
-      if (cov >= thresh) {
-        val nfFrac = if (bin.sumCov == 0) 0.0 else bin.sumNf.toDouble / bin.sumCov
-        Some(TemplateStat(Template.decode(canon), cov, math.round(cov * nfFrac), bin.count))
-      } else None
-    }.toVector
-  }
-
-  /** Characters covered by the union of the line intervals. */
-  private def uniqueCoverage(spans: mutable.ArrayBuffer[Long], pref: Array[Long]): Long = {
-    if (spans.isEmpty) return 0L
-    val sorted = spans.toArray
-    java.util.Arrays.sort(sorted)
-    var cov = 0L
-    var curStart = -1
-    var curEnd = -1 // exclusive
-    var k = 0
-    while (k < sorted.length) {
-      val s = (sorted(k) >> 16).toInt
-      val e = s + (sorted(k) & 0xffff).toInt
-      if (curEnd < 0) { curStart = s; curEnd = e }
-      else if (s <= curEnd) { if (e > curEnd) curEnd = e }
-      else {
-        cov += pref(curEnd) - pref(curStart)
-        curStart = s; curEnd = e
-      }
-      k += 1
-    }
-    cov += pref(curEnd) - pref(curStart)
-    cov
-  }
-
-  /** Deduplicated candidate records of a line window scan: all contiguous
-    * line ranges of span 1..L; `posTextId` maps each boundary pair to its
-    * text.
-    */
-  final class CandidateIndex(
-      val texts: Array[String],
-      enumChars: Vector[Char],
-      val totalChars: Long,
-      /** textId at (line * maxSpan + span - 1), or -1 when out of range. */
-      val posTextId: Array[Int],
-      /** prefix sums of line lengths (+1 for '\n'), length nLines+1. */
-      val linePrefix: Array[Long],
-      val nLines: Int,
-      val maxSpan: Int
-  ) {
-    // Bit positions only for characters the search will ever enumerate
-    // (bounded by maxExhaustiveChars/MaxGreedyChars, far below 64).
-    private val charToBit: Map[Char, Int] = enumChars.zipWithIndex.toMap
-    val specialMask: Array[Long] = texts.map { t =>
-      var m = 0L
+    /** Prefix sums of line lengths (+1 for '\n'), length nLines+1. */
+    val linePrefix: Array[Long] = {
+      val pref = new Array[Long](nLines + 1)
       var i = 0
-      while (i < t.length) {
-        charToBit.get(t.charAt(i)).foreach(b => m |= (1L << b))
-        i += 1
-      }
+      while (i < nLines) { pref(i + 1) = pref(i) + lines(i).length + 1; i += 1 }
+      pref
+    }
+    def totalChars: Long = linePrefix(nLines)
+
+    private[Generation] val templates = new TemplateOps.LineTemplates
+
+    private val bitOf: Array[Int] = {
+      val a = Array.fill(128)(-1)
+      enumChars.zipWithIndex.foreach { case (c, b) => a(c.toInt) = b }
+      a
+    }
+    private def bit(ch: Char): Int = if (ch < 128) bitOf(ch.toInt) else -1
+
+    // identical lines share one row of the tables
+    private val (rowOf: Array[Int], rowText: Array[String]) = {
+      val byText = mutable.HashMap.empty[String, Int]
+      val texts = mutable.ArrayBuffer.empty[String]
+      val rows = lines.iterator.map(l => byText.getOrElseUpdate(l, { texts += l; texts.length - 1 })).toArray
+      (rows, texts.toArray)
+    }
+    private val rowMask: Array[Int] = rowText.map { t =>
+      var m = 0
+      var i = 0
+      while (i < t.length) { val b = bit(t.charAt(i)); if (b >= 0) m |= 1 << b; i += 1 }
       m
     }
-    def maskOf(cs: Set[Char]): Long =
-      cs.foldLeft(0L)((m, c) => charToBit.get(c).fold(m)(b => m | (1L << b)))
-    def charsOf(mask: Long): Set[Char] =
-      charToBit.collect { case (c, b) if (mask & (1L << b)) != 0 => c }.toSet
+    private val rowTable = new Array[Array[Long]](rowText.length)
+
+    private[Generation] val trie = new Trie(linePrefix)
+
+    /** Packed line template ([[TemplateOps.LineTemplates.reduceLine]]) of
+      * every line under charset mask `cs`.
+      */
+    private[Generation] def lineTemplates(cs: Int): Array[Long] = {
+      val perRow = new Array[Long](rowText.length)
+      var r = 0
+      while (r < rowText.length) {
+        val m = rowMask(r)
+        val eff = cs & m
+        if (rowTable(r) == null) rowTable(r) = Array.fill(1 << Integer.bitCount(m))(-1L)
+        // eff's position among the subsets of m: its bits compressed onto m's
+        var slot = 0
+        var k = 0
+        var rest = m
+        while (rest != 0) {
+          val low = rest & -rest
+          if ((eff & low) != 0) slot |= 1 << k
+          k += 1
+          rest &= rest - 1
+        }
+        val table = rowTable(r)
+        if (table(slot) < 0)
+          table(slot) = templates.reduceLine(rowText(r), ch => bit(ch) >= 0 && (eff & (1 << bit(ch))) != 0)
+        perRow(r) = table(slot)
+        r += 1
+      }
+      rowOf.map(r => perRow(r))
+    }
   }
 
-  /** Build the candidate index for `lines` (the paper's step 2: all O(nL)
-    * pairs of end-of-line characters at distance <= L). Candidates are
-    * deduplicated by text; `enumChars` is the universe of characters the
-    * charset search will enumerate.
+  /** The paper's GenST(char_set): enumerate all candidate records (pairs of
+    * line boundaries at most L lines apart), reduce each, and accumulate
+    * per-template coverage in a hash table; keep bins with at least alpha%
+    * coverage of the scanned text.
+    *
+    * A candidate's canonical template is the concatenation of its lines'
+    * templates, so each start line's spans 1..L extend one path of a trie
+    * over line-template ids; bins are keyed by trie node, and each merges
+    * its unique coverage interval by interval as the scan goes. A canonical
+    * string is built only for the bins that pass the alpha cut.
     */
-  def buildCandidates(
-      lines: IndexedSeq[String],
-      p: DmParams,
-      enumChars: Vector[Char]
-  ): CandidateIndex = {
-    val n = lines.length
-    val L = p.maxSpan
-    val byText = mutable.HashMap.empty[String, Int]
-    val texts = mutable.ArrayBuffer.empty[String]
-    val posTextId = Array.fill(n * L)(-1)
+  def genST(index: LineIndex, cs: Int, p: DmParams): Vector[TemplateStat] = {
+    val t = index.templates
+    val packed = index.lineTemplates(cs)
+    val lineId = packed.map(TemplateOps.LineTemplates.id)
+    val lineLiteral = packed.map(TemplateOps.LineTemplates.literalChars)
+    val lineItems = lineId.map(t.items)
+    val lineField = lineId.map(t.hasField)
+    val n = index.nLines
+    val pref = index.linePrefix
+    val trie = index.trie
+    trie.reset()
     var i = 0
     while (i < n) {
+      var node = -1
+      var items = 0
+      var hasField = false
+      var lit = 0L
       var span = 1
-      val sb = new StringBuilder
-      while (span <= L && i + span <= n) {
-        sb.append(lines(i + span - 1)).append('\n')
-        val text = sb.toString
-        if (text.length <= 8192) {
-          posTextId(i * L + span - 1) = byText.getOrElseUpdate(text, {
-            texts += text; texts.length - 1
-          })
+      var more = true
+      while (more && span <= index.maxSpan && i + span <= n) {
+        val j = i + span - 1
+        val len = pref(i + span) - pref(i)
+        items += lineItems(j)
+        if (len > MaxCandidateChars || items > TemplateOps.MaxTemplateItems) more = false
+        else {
+          hasField ||= lineField(j)
+          lit += lineLiteral(j)
+          node = trie.child(node, lineId(j))
+          if (hasField) trie.add(node, len, lit, i, i + span)
+          span += 1
         }
-        span += 1
       }
       i += 1
     }
-    val pref = new Array[Long](n + 1)
-    i = 0
-    while (i < n) { pref(i + 1) = pref(i) + lines(i).length + 1; i += 1 }
-    new CandidateIndex(
-      texts.toArray, enumChars, pref(n), posTextId, pref, n, L)
+    val thresh = p.alpha * index.totalChars
+    val out = Vector.newBuilder[TemplateStat]
+    var node = 0
+    while (node < trie.size) {
+      if (trie.count(node) > 0) {
+        val cov = trie.uniqueCoverage(node)
+        if (cov >= thresh) {
+          val nfFrac = trie.sumNf(node).toDouble / trie.sumCov(node)
+          val canon = trie.path(node).map(t.encoding).mkString
+          out += TemplateStat(Template.decode(canon), cov, math.round(cov * nfFrac), trie.count(node))
+        }
+      }
+      node += 1
+    }
+    out.result()
+  }
+
+  /** Trie over line-template ids: one node per distinct candidate template
+    * of one charset, each holding its template's hash bin. One trie serves
+    * every charset of a search ([[reset]]) and grows on demand.
+    */
+  private final class Trie(pref: Array[Long]) {
+    var size = 0
+    var parent = new Array[Int](64)
+    var lineId = new Array[Int](64)
+    var count = new Array[Int](64)
+    var sumCov = new Array[Long](64)
+    var sumNf = new Array[Long](64)
+    // unique coverage: closed line intervals summed in cov, the open one in runStart/runEnd
+    var cov = new Array[Long](64)
+    var runStart = new Array[Int](64)
+    var runEnd = new Array[Int](64)
+    // open addressing from (parent, lineId) to node, -1 when empty
+    private var slots = Array.fill(128)(-1)
+
+    def reset(): Unit = { size = 0; java.util.Arrays.fill(slots, -1) }
+
+    def child(node: Int, id: Int): Int = {
+      if (size == parent.length) grow()
+      var h = slot(node, id)
+      while (slots(h) >= 0) {
+        val k = slots(h)
+        if (parent(k) == node && lineId(k) == id) return k
+        h = (h + 1) & (slots.length - 1)
+      }
+      val k = size
+      slots(h) = k
+      parent(k) = node; lineId(k) = id; count(k) = 0
+      sumCov(k) = 0; sumNf(k) = 0; cov(k) = 0
+      size += 1
+      k
+    }
+
+    /** Bin the candidate of lines [start, end) at `node`. A node's
+      * candidates all span its depth and arrive in ascending start order,
+      * so each one extends the open interval or closes it and opens the next.
+      */
+    def add(node: Int, chars: Long, literal: Long, start: Int, end: Int): Unit = {
+      if (count(node) == 0) runStart(node) = start
+      else if (start > runEnd(node)) {
+        cov(node) += pref(runEnd(node)) - pref(runStart(node))
+        runStart(node) = start
+      }
+      runEnd(node) = end
+      count(node) += 1
+      sumCov(node) += chars
+      sumNf(node) += literal
+    }
+
+    /** Characters covered by the union of the node's candidates. */
+    def uniqueCoverage(node: Int): Long = cov(node) + pref(runEnd(node)) - pref(runStart(node))
+
+    /** Line-template ids from the root to `node`. */
+    def path(node: Int): List[Int] = {
+      var ids = List.empty[Int]
+      var k = node
+      while (k >= 0) { ids = lineId(k) :: ids; k = parent(k) }
+      ids
+    }
+
+    private def slot(node: Int, id: Int): Int =
+      (((((node + 1).toLong << 32) | id) * 0x9E3779B97F4A7C15L) >>> 32).toInt & (slots.length - 1)
+
+    private def grow(): Unit = {
+      val cap = 2 * parent.length
+      parent = java.util.Arrays.copyOf(parent, cap)
+      lineId = java.util.Arrays.copyOf(lineId, cap)
+      count = java.util.Arrays.copyOf(count, cap)
+      sumCov = java.util.Arrays.copyOf(sumCov, cap)
+      sumNf = java.util.Arrays.copyOf(sumNf, cap)
+      cov = java.util.Arrays.copyOf(cov, cap)
+      runStart = java.util.Arrays.copyOf(runStart, cap)
+      runEnd = java.util.Arrays.copyOf(runEnd, cap)
+      slots = Array.fill(2 * cap)(-1)
+      var k = 0
+      while (k < size) {
+        var h = slot(parent(k), lineId(k))
+        while (slots(h) >= 0) h = (h + 1) & (slots.length - 1)
+        slots(h) = k
+        k += 1
+      }
+    }
   }
 
   /** Exhaustive RT-CharSet search: enumerate all subsets of the (at most
@@ -244,17 +307,12 @@ object Generation {
     * template keeping the maximum-coverage bin.
     */
   def exhaustiveSearch(lines: IndexedSeq[String], p: DmParams): Vector[TemplateStat] = {
-    val chars = Chars.specialsByFrequency(lines.mkString("\n"))
-      .take(p.maxExhaustiveChars)
-    val cand = buildCandidates(lines, p, chars)
-    val memo = new GenMemo
+    val index = new LineIndex(lines, p.maxSpan, p.maxExhaustiveChars)
     val all = Vector.newBuilder[TemplateStat]
-    val nSubsets = 1 << chars.length
-    var s = 0
-    while (s < nSubsets) {
-      val cs = chars.zipWithIndex.collect { case (c, b) if (s & (1 << b)) != 0 => c }.toSet
-      all ++= genST(lines, cs, p, memo, cand)
-      s += 1
+    var cs = 0
+    while (cs < (1 << index.enumChars.length)) {
+      all ++= genST(index, cs, p)
+      cs += 1
     }
     dedupe(all.result())
   }
@@ -265,31 +323,26 @@ object Generation {
     * tried along the way.
     */
   def greedySearch(lines: IndexedSeq[String], p: DmParams): Vector[TemplateStat] = {
-    val chars = Chars.specialsByFrequency(lines.mkString("\n"))
-      .take(MaxGreedyChars)
-    val cand = buildCandidates(lines, p, chars)
-    val memo = new GenMemo
+    val index = new LineIndex(lines, p.maxSpan, MaxGreedyChars)
+    val c = index.enumChars.length
     val pool = Vector.newBuilder[TemplateStat]
     // the empty charset (fields split only by '\n') is a legitimate subset
-    pool ++= genST(lines, Set.empty, p, memo, cand)
-    var cs = Set.empty[Char]
+    pool ++= genST(index, 0, p)
+    var cs = 0
     var improved = true
-    while (improved && cs.size < chars.length) {
+    while (improved && Integer.bitCount(cs) < c) {
       improved = false
-      var bestChar: Option[Char] = None
+      var bestBit = -1
       var bestScore = -1.0
-      for (c <- chars if !cs.contains(c)) {
-        val stats = genST(lines, cs + c, p, memo, cand)
+      for (b <- 0 until c if (cs & (1 << b)) == 0) {
+        val stats = genST(index, cs | (1 << b), p)
         pool ++= stats
         if (stats.nonEmpty) {
           val s = stats.iterator.map(_.assimilation).max
-          if (s > bestScore) { bestScore = s; bestChar = Some(c) }
+          if (s > bestScore) { bestScore = s; bestBit = b }
         }
       }
-      bestChar match {
-        case Some(c) => cs = cs + c; improved = true
-        case None    => ()
-      }
+      if (bestBit >= 0) { cs |= 1 << bestBit; improved = true }
     }
     dedupe(pool.result())
   }

@@ -144,65 +144,97 @@ object TemplateOps {
     * only ever produced degenerate noise absorbers. Line-wise reduction
     * also makes a k-record concatenation exactly k copies of the
     * single-record template, which the period-reduction canonicalization
-    * then collapses.
+    * then collapses. The generation step relies on the same fact: a
+    * candidate's template is the concatenation of its lines' templates
+    * ([[LineTemplates]]).
     */
-  def minimalTemplate(text: String, cs: Set[Char]): Option[Template] =
-    minimalCanonical(text, cs, new ReduceCaches).map {
-      case (canon, _) => Template.decode(canon)
+  def minimalTemplate(text: String, cs: Set[Char]): Option[Template] = {
+    require(text.endsWith("\n"), "a record text ends a line")
+    val lines = new LineTemplates
+    val encoded = new StringBuilder
+    var items = 0
+    var hasField = false
+    var from = 0
+    while (from < text.length) {
+      val nl = text.indexOf('\n', from)
+      val id = LineTemplates.id(lines.reduceLine(text.substring(from, nl), cs.contains))
+      encoded.append(lines.encoding(id))
+      items += lines.items(id)
+      hasField ||= lines.hasField(id)
+      from = nl + 1
     }
-
-  /** Per-line reduction cache for the fast generation path (few distinct
-    * line shapes per charset, since field values collapse into the key).
-    */
-  final class ReduceCaches {
-    val line = mutable.HashMap.empty[String, (Vector[TElem], String)]
+    if (!hasField || items > MaxTemplateItems) None
+    else Some(Template.decode(encoded.toString))
   }
 
-  /** Fast generation path: canonical minimal template + field-character
-    * count. Each LINE's record template is reduced once per shape
-    * (memoized); a multi-line candidate's template is the concatenation of
-    * its per-line reductions (see [[minimalTemplate]] for why reduction
-    * never crosses '\n').
+  /** Interned minimal templates of single lines. A line's shape — its
+    * record template with every field run collapsed to one mark — is
+    * reduced once per distinct shape. Ids are handed out per distinct
+    * reduced ENCODING, not per shape: "a b" and "a b c" under {' '} have
+    * different shapes but the same minimal template `(F )*F\n`, and must
+    * share an id so that candidates built from them share a hash bin.
+    * Every encoding ends in its only top-level '\n', so concatenations of
+    * line encodings are distinct exactly when the id sequences are.
     */
-  def minimalCanonical(
-      text: String,
-      cs: Set[Char],
-      caches: ReduceCaches
-  ): Option[(String, Int)] = {
-    var litChars = 0
-    var hasField = false
-    var totalItems = 0
-    val encoded = new StringBuilder
-    var lineStart = 0
-    while (lineStart < text.length) {
-      var nl = text.indexOf('\n', lineStart)
-      if (nl < 0) nl = text.length - 1 // defensive; text always ends in '\n'
-      val sb = new StringBuilder(nl - lineStart + 2)
+  final class LineTemplates {
+    private val idByShape = mutable.HashMap.empty[String, Int]
+    private val idByEncoding = mutable.HashMap.empty[String, Int]
+    private val encodings = mutable.ArrayBuffer.empty[String]
+    private val itemCounts = mutable.ArrayBuffer.empty[Int]
+    private val fields = mutable.ArrayBuffer.empty[Boolean]
+
+    def encoding(id: Int): String = encodings(id)
+
+    /** Items of the line's template: the minimal template's, or the raw
+      * record template's when that exceeds [[MaxTemplateItems]] (such a
+      * line is never reduced; its candidates are discarded).
+      */
+    def items(id: Int): Int = itemCounts(id)
+
+    def hasField(id: Int): Boolean = fields(id)
+
+    /** Template of `line` + '\n' with formatting characters `literal`,
+      * packed as `(id << 32) | literalChars` ([[LineTemplates.id]],
+      * [[LineTemplates.literalChars]]); literalChars counts the '\n'.
+      */
+    def reduceLine(line: String, literal: Char => Boolean): Long = {
+      val shape = new StringBuilder(line.length + 1)
+      var lit = 1
       var inField = false
-      var i = lineStart
-      while (i <= nl) {
-        val ch = text.charAt(i)
-        if (ch == '\n' || cs.contains(ch)) {
-          sb.append(ch); litChars += 1; inField = false
+      var i = 0
+      while (i < line.length) {
+        val ch = line.charAt(i)
+        if (literal(ch)) {
+          shape.append(ch); lit += 1; inField = false
         } else if (!inField) {
-          sb.append('\u0001'); inField = true; hasField = true
+          shape.append('\u0001'); inField = true
         }
         i += 1
       }
-      val key = sb.toString
-      val (items, enc) = caches.line.getOrElseUpdate(key, {
-        val raw = key.iterator.map {
-          case '\u0001' => TField
-          case c        => TChar(c)
-        }.toVector
-        val red = if (raw.length > MaxTemplateItems) raw else reduce(raw)
-        (red, Template.encode(red))
-      })
-      totalItems += items.length
-      encoded.append(enc)
-      lineStart = nl + 1
+      shape.append('\n')
+      val key = shape.toString
+      val id = idByShape.getOrElseUpdate(key, intern(key))
+      (id.toLong << 32) | lit
     }
-    if (!hasField || totalItems > MaxTemplateItems) None
-    else Some((encoded.toString, text.length - litChars))
+
+    private def intern(shape: String): Int = {
+      val raw = shape.iterator.map {
+        case '\u0001' => TField
+        case c        => TChar(c)
+      }.toVector
+      val red = if (raw.length > MaxTemplateItems) raw else reduce(raw)
+      val enc = Template.encode(red)
+      idByEncoding.getOrElseUpdate(enc, {
+        encodings += enc
+        itemCounts += red.length
+        fields += shape.contains('\u0001')
+        encodings.length - 1
+      })
+    }
+  }
+
+  object LineTemplates {
+    def id(packed: Long): Int = (packed >>> 32).toInt
+    def literalChars(packed: Long): Int = packed.toInt
   }
 }

@@ -231,6 +231,9 @@ object Experiments {
     def full(n: Int) = DmParams(exhaustive = true,
       sampleMaxChars = Int.MaxValue, genSampleMaxChars = Int.MaxValue).copy(topM = 50)
 
+    // one untimed pass first, so JIT compilation is not charged to the
+    // first sweep point
+    Datamaran.run(mkGt(200, 59L).lines, full(200))
     // S_data sweep (generation is linear in scanned chars)
     for (n <- Vector(200, 400, 800, 1600)) {
       val gt = mkGt(n, 60L + n)

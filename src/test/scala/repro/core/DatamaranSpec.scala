@@ -144,7 +144,15 @@ class DatamaranSpec extends AnyFunSuite {
     val (inf, _) = Datamaran.run(gt.lines, p)
     val t = inf.timings
     assert(t.generationMs >= 0 && t.pruningMs >= 0 && t.evaluationMs >= 0 && t.extractionMs >= 0)
-    assert(t.totalMs == t.searchMs + t.extractionMs)
+    // each sum is rounded down to milliseconds once, from nanoseconds
+    assert(t.searchMs == (t.generationNs + t.pruningNs + t.evaluationNs) / 1000000L)
+    assert(t.totalMs == (t.generationNs + t.pruningNs + t.evaluationNs + t.extractionNs) / 1000000L)
+  }
+
+  test("sub-millisecond steps add up before rounding") {
+    val step = StepTimings(600000L, 0, 0, 0) // 0.6 ms of generation
+    assert(step.generationMs == 0)
+    assert((step + step).generationMs == 1)
   }
 
   test("greedy and exhaustive agree on a simple csv dataset") {

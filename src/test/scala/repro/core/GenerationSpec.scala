@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.Gen
+import repro.PropHelpers.samples
 import scala.collection.mutable
 
 /** Generation step: candidate enumeration, hash coverage, charset search,
@@ -13,52 +15,117 @@ class GenerationSpec extends AnyFunSuite {
   private def csvLines(n: Int): Vector[String] =
     (0 until n).map(i => s"$i,${i * 2},${i % 7}").toVector
 
-  test("buildCandidates enumerates all O(nL) boundary pairs") {
+  private def index(lines: Vector[String], pp: DmParams, chars: Int) =
+    new Generation.LineIndex(lines, pp.maxSpan, chars)
+
+  /** Charset mask of `cs`, whose characters must all be enumerated. */
+  private def mask(idx: Generation.LineIndex, cs: Char*): Int =
+    cs.map(c => 1 << idx.enumChars.indexOf(c)).sum
+
+  test("line index enumerates all O(nL) boundary pairs") {
     val lines = Vector("a", "b", "c")
-    val cand = Generation.buildCandidates(lines, p.copy(maxSpan = 2), Vector.empty)
-    // spans: (0,1),(0,2),(1,1),(1,2),(2,1) => 5 positions
-    assert(cand.posTextId.count(_ >= 0) == 5)
+    val pp = p.copy(maxSpan = 2, alpha = 0.0)
+    val stats = Generation.genST(index(lines, pp, 0), 0, pp)
+    // spans: (0,1),(0,2),(1,1),(1,2),(2,1) => 5 candidates, all binned
+    assert(stats.map(_.count).sum == 5)
   }
 
-  test("buildCandidates dedupes identical candidate texts") {
-    val lines = Vector("x,y", "x,y", "x,y")
-    val cand = Generation.buildCandidates(lines, p.copy(maxSpan = 1), Vector(','))
-    assert(cand.texts.length == 1)
-    assert(cand.posTextId.toVector == Vector(0, 0, 0))
+  test("line index prefix sums count the newline") {
+    val idx = index(Vector("ab", "c"), p, 0)
+    assert(idx.linePrefix.toVector == Vector(0L, 3L, 5L))
+    assert(idx.totalChars == 5L)
   }
 
-  test("buildCandidates line prefix sums count the newline") {
-    val cand = Generation.buildCandidates(Vector("ab", "c"), p, Vector.empty)
-    assert(cand.linePrefix.toVector == Vector(0L, 3L, 5L))
-    assert(cand.totalChars == 5L)
+  test("line ids are keyed by reduced encoding, not by line shape") {
+    // different shapes, one minimal template (F )*F\n: one bin for both lines
+    val lines = Vector("a b", "a b c")
+    val pp = p.copy(maxSpan = 1)
+    val idx = index(lines, pp, 1)
+    val stats = Generation.genST(idx, mask(idx, ' '), pp)
+    assert(stats.map(_.template.pretty) == Vector("(F )*F\\n"))
+    assert(stats.head.count == 2)
+    assert(stats.head.coverage == idx.totalChars)
   }
 
   test("genST finds the csv template with full unique coverage") {
     val lines = csvLines(60)
-    val cand = Generation.buildCandidates(lines, p, Vector(','))
-    val memo = new Generation.GenMemo
-    val stats = Generation.genST(lines, Set(','), p, memo, cand)
+    val idx = index(lines, p, 1)
+    val stats = Generation.genST(idx, mask(idx, ','), p)
     val csv = stats.find(_.template.pretty == "(F,)*F\\n")
     assert(csv.isDefined)
-    assert(csv.get.coverage == cand.totalChars) // every char is covered
+    assert(csv.get.coverage == idx.totalChars) // every char is covered
   }
 
   test("genST unique coverage does not overcount k-fold stacks") {
     val lines = csvLines(60)
-    val cand = Generation.buildCandidates(lines, p, Vector(','))
-    val memo = new Generation.GenMemo
-    val stats = Generation.genST(lines, Set(','), p, memo, cand)
+    val idx = index(lines, p, 1)
+    val stats = Generation.genST(idx, mask(idx, ','), p)
     // no bin may claim more characters than the dataset has
-    assert(stats.forall(_.coverage <= cand.totalChars))
+    assert(stats.forall(_.coverage <= idx.totalChars))
   }
 
   test("genST respects the alpha threshold") {
     // 9 csv lines + 91 unique junk lines: csv is under alpha=20%
     val lines = csvLines(9) ++ (0 until 91).map(i => s"junk${i}x${i * 31}")
-    val cand = Generation.buildCandidates(lines.toVector, p.copy(alpha = 0.2), Vector(','))
-    val memo = new Generation.GenMemo
-    val stats = Generation.genST(lines.toVector, Set(','), p.copy(alpha = 0.2), memo, cand)
+    val pp = p.copy(alpha = 0.2)
+    val idx = index(lines, pp, 1)
+    val stats = Generation.genST(idx, mask(idx, ','), pp)
     assert(!stats.exists(_.template.pretty == "(F,)*F\\n"))
+  }
+
+  test("property: genST matches a brute-force GenST for every charset") {
+    val specials = Vector(',', ':', ' ', '[')
+    val field = Gen.alphaNumStr.map(_.take(3)) // may be empty
+    // lists of one separator with varying length: different shapes, one template
+    val listLine = for {
+      head <- Gen.oneOf("", "[", "x:")
+      sep <- Gen.oneOf(specials)
+      k <- Gen.choose(1, 4)
+      fields <- Gen.listOfN(k, field)
+    } yield head + fields.mkString(sep.toString)
+    val freeLine = for {
+      n <- Gen.choose(0, 5)
+      parts <- Gen.listOfN(n + 1, Gen.frequency(4 -> field, 1 -> Gen.oneOf(specials).map(_.toString)))
+    } yield parts.mkString
+    val genLine = Gen.frequency(2 -> listLine, 1 -> freeLine)
+    val genLines = for {
+      pool <- Gen.listOfN(4, genLine)
+      n <- Gen.choose(1, 14)
+      picks <- Gen.listOfN(n, Gen.oneOf(pool)) // repeats make multi-line bins
+    } yield picks.toVector
+    val pp = p.copy(maxSpan = 3, alpha = 0.05)
+    for (lines <- samples(genLines, 60, seed = 7)) {
+      val idx = index(lines, pp, 4)
+      for (cs <- 0 until 1 << idx.enumChars.length) {
+        val chars = idx.enumChars.indices.collect { case b if (cs & (1 << b)) != 0 => idx.enumChars(b) }.toSet
+        val got = Generation.genST(idx, cs, pp)
+          .map(s => (s.template.canonical, s.coverage, s.nonFieldCoverage, s.count)).sorted
+        assert(got == bruteForceGenST(lines, chars, pp), s"lines=$lines charset=$chars")
+      }
+    }
+  }
+
+  /** GenST as the paper states it: reduce every candidate's joined text. */
+  private def bruteForceGenST(lines: Vector[String], cs: Set[Char], pp: DmParams) = {
+    val bins = mutable.LinkedHashMap.empty[String, mutable.ArrayBuffer[(Int, Int, Int)]]
+    for (i <- lines.indices; span <- 1 to pp.maxSpan if i + span <= lines.length) {
+      val text = lines.slice(i, i + span).map(_ + "\n").mkString
+      TemplateOps.minimalTemplate(text, cs).foreach { t =>
+        val literal = text.count(c => c == '\n' || cs.contains(c))
+        bins.getOrElseUpdate(t.canonical, mutable.ArrayBuffer.empty) += ((i, i + span, literal))
+      }
+    }
+    val lineChars = lines.map(_.length + 1L)
+    val total = lineChars.sum
+    bins.toVector.flatMap { case (canon, cands) =>
+      val covered = cands.flatMap { case (s, e, _) => s until e }.distinct
+      val cov = covered.map(lineChars).sum
+      val sumCov = cands.map { case (s, e, _) => lineChars.slice(s, e).sum }.sum
+      val sumNf = cands.map(_._3.toLong).sum
+      if (cov >= pp.alpha * total)
+        Some((canon, cov, math.round(cov * (sumNf.toDouble / sumCov)), cands.length.toLong))
+      else None
+    }.sorted
   }
 
   test("exhaustive search finds the true template of a two-charset format") {
