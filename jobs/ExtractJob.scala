@@ -8,8 +8,9 @@ import repro.core._
   * Usage: ExtractJob <input.log> <outputDir> [greedy|exhaustive]
   *
   * Infers the structure on a driver-side sample (paper §9.1 sampling), then
-  * runs the distributed two-phase extraction and writes one CSV directory
-  * per relational table plus a `records` table of boundaries.
+  * runs the distributed extraction (each partition runs the greedy cover
+  * from a stitched entry line) and writes one CSV directory per relational
+  * table plus a `records` table of boundaries.
   */
 object ExtractJob {
   def main(args: Array[String]): Unit = {
@@ -35,6 +36,7 @@ object ExtractJob {
         t.df.write.mode("overwrite").option("header", true)
           .csv(s"$outDir/type${t.typeIdx}_$name")
       }
+      ex.release()
       println(s"[ExtractJob] wrote ${ex.tables.length} tables to $outDir")
     } finally spark.stop()
   }

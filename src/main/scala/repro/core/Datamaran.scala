@@ -47,8 +47,8 @@ final case class RecordInstance(typeIdx: Int, start: Int, span: Int, parsed: Par
 
 /** The DATAMARAN algorithm (paper §4): Generation -> Pruning -> Evaluation,
   * iterated over the residual for interleaved record types (§9.1), followed
-  * by a unified LL(1) extraction pass ([[Datamaran.extract]] locally,
-  * [[SparkExtract]] distributed).
+  * by one LL(1) extraction pass, the greedy [[Datamaran.Cover]] (run over
+  * all lines by [[Datamaran.extract]], per partition by [[SparkExtract]]).
   */
 object Datamaran {
 
@@ -171,32 +171,53 @@ object Datamaran {
     }
   }
 
-  /** The greedy record cover, shared by final extraction and MDL
-    * evaluation ([[Mdl.scan]] runs it with a single template): one
-    * left-to-right scan over all lines; at each position the templates are
-    * tried in priority order (the first iteration's type first) with their
-    * smallest matching span; unmatched lines are noise.
-    * [[SparkExtract.extract]] implements the same contract distributed and
-    * is tested for equivalence.
+  /** The greedy record cover, the only code that places records: final
+    * extraction ([[extract]]), MDL evaluation ([[Mdl.scan]] runs it with a
+    * single template) and each partition of [[SparkExtract.extract]] run it.
+    * Entered at line `from`, it scans left to right; at each line the
+    * templates are tried in priority order (the first iteration's type
+    * first) with their smallest matching span; unmatched lines are noise.
+    * It places records only at lines before `until` (a record may run past
+    * it) and ends at the first line at or past `until` that it reaches, or
+    * earlier at the first line where `stop` holds. Records stream one at a
+    * time; once the cover is exhausted, `exit` is the line where it ended.
     */
+  final class Cover(
+      lines: IndexedSeq[String],
+      templates: Vector[Template],
+      maxSpan: Int,
+      from: Int,
+      until: Int,
+      stop: Int => Boolean
+  ) extends Iterator[RecordInstance] {
+    private var i = from
+    private var pending: RecordInstance = null
+
+    def hasNext: Boolean = {
+      while (pending == null && i < until && !stop(i)) {
+        pending = matchAt(lines, i, templates, maxSpan).orNull
+        i += (if (pending == null) 1 else pending.span)
+      }
+      pending != null
+    }
+
+    def next(): RecordInstance = {
+      if (!hasNext) throw new NoSuchElementException("cover exhausted")
+      val r = pending
+      pending = null
+      r
+    }
+
+    def exit: Int = i
+  }
+
+  /** The greedy cover of all of `lines`. */
   def extract(
       lines: IndexedSeq[String],
       templates: Vector[Template],
       maxSpan: Int
-  ): Vector[RecordInstance] = {
-    val out = Vector.newBuilder[RecordInstance]
-    var i = 0
-    while (i < lines.length) {
-      matchAt(lines, i, templates, maxSpan) match {
-        case Some(r) =>
-          out += r
-          i += r.span
-        case None =>
-          i += 1
-      }
-    }
-    out.result()
-  }
+  ): Vector[RecordInstance] =
+    new Cover(lines, templates, maxSpan, 0, lines.length, _ => false).toVector
 
   /** Shared match rule: first template (in priority order) with a smallest
     * matching span at `start`, with its parse.

@@ -31,18 +31,6 @@ final case class ArraySeg(path: String, text: String, elems: Vector[Vector[Seg]]
 final case class Parsed(segs: Vector[Seg]) extends Serializable {
   def text: String = segs.iterator.map(_.text).mkString
 
-  /** All field values pooled per column path, arrays flattened — the input
-    * to MDL field typing.
-    */
-  def fieldsByPath: Iterator[(String, String)] = {
-    def walk(ss: Vector[Seg]): Iterator[(String, String)] = ss.iterator.flatMap {
-      case FieldSeg(p, v)      => Iterator.single(p -> v)
-      case ArraySeg(_, _, els) => els.iterator.flatMap(walk)
-      case _: LitSeg           => Iterator.empty
-    }
-    walk(segs)
-  }
-
   /** Repetition count of each array instance, keyed by array path, in
     * template order (one entry per instance; nested arrays contribute too).
     */

@@ -3,25 +3,22 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
+import scala.collection.immutable.ArraySeq
 
 /** Distributed extraction (the O(T_data) step the paper calls "eminently
-  * parallelizable", §5.2.2), as a two-phase DataFrame/RDD dataflow:
+  * parallelizable", §5.2.2). The greedy cover of a stretch of lines depends
+  * only on the line where it is entered, and a partition's last record
+  * spills at most L-1 lines into the next partition. So each partition runs
+  * [[Datamaran.Cover]], the local cover, over its lines plus the next L-1,
+  * from an entry offset below L (the enumerate-all-start-states technique of
+  * data-parallel FSMs, Mytkowicz et al., ASPLOS 2014):
   *
-  *  Phase 1 (parallel): every partition scans its lines plus an (L-1)-line
-  *  overlap tail borrowed from the following partitions, and emits for each
-  *  line the first (template-priority, smallest-span) match starting there.
-  *
-  *  Driver (tiny): the (start, templateId, span) stream — a few bytes per
-  *  line — is resolved greedily left-to-right into a non-overlapping record
-  *  cover, exactly the contract of [[Datamaran.extract]].
-  *
-  *  Phase 2 (parallel): partitions re-parse the accepted spans (only the
-  *  (start, templateId, span) stream crosses the stage boundary, not the
-  *  phase-1 parses) and emit the normalized relational rows (paper §3.3/Fig 7)
-  *  as DataFrames.
-  *
-  * Tests assert equivalence with the sequential extractor, including
-  * records straddling partition boundaries.
+  *  1. one job returns each partition's line count and first L-1 lines;
+  *  2. one job returns each partition's exit table: for each entry offset
+  *     e < L, where the cover entered at e leaves the partition;
+  *  3. the driver stitches the entries left to right through the tables,
+  *     and the cached rows stage replays each partition's cover from its
+  *     entry, emitting the relational rows (§3.3/Fig 7) of every record.
   */
 object SparkExtract {
 
@@ -34,7 +31,18 @@ object SparkExtract {
       /** (type_idx, start_line, span) per extracted record. */
       records: DataFrame,
       tables: Vector[ExtractedTable]
-  )
+  ) {
+    private[SparkExtract] var onRelease: () => Unit = () => ()
+
+    /** Unpersist the cached rows and destroy the broadcasts of the call
+      * that made this extraction. Call it once its tables are written: the
+      * DataFrames cannot be evaluated afterwards.
+      */
+    def release(): Unit = {
+      onRelease()
+      onRelease = () => ()
+    }
+  }
 
   /** Distribute `lines` and extract with `templates` (priority order). */
   def extract(
@@ -43,117 +51,54 @@ object SparkExtract {
       templates: Vector[Template],
       maxSpan: Int
   ): SparkExtraction = {
+    require(maxSpan >= 1, s"maxSpan must be positive: $maxSpan")
     val sc = spark.sparkContext
-    val canon = templates.map(_.canonical)
-    val bcTemplates = sc.broadcast(canon)
+    val bcTemplates = sc.broadcast(templates.map(_.canonical))
 
-    val idxed: RDD[(Long, String)] =
-      lines.zipWithIndex().map { case (l, i) => (i, l) }.cache()
+    val heads: Array[(Int, Array[String])] = lines.mapPartitions { it =>
+      val head = Array.newBuilder[String]
+      var n = 0
+      it.foreach { l => if (n < maxSpan - 1) head += l; n += 1 }
+      Iterator.single((n, head.result()))
+    }.collect()
+    val counts = heads.map(_._1)
+    val offsets = counts.scanLeft(0L)(_ + _)
+    val bcHeads = sc.broadcast(heads.map(_._2))
 
-    // first (maxSpan - 1) lines of each partition, for overlap tails
-    val heads: Map[Int, Array[String]] = idxed
-      .mapPartitionsWithIndex { (pid, it) =>
-        Iterator.single(pid -> it.take(maxSpan - 1).map(_._2).toArray)
-      }
-      .collect()
-      .toMap
-    val nParts = idxed.getNumPartitions
-    def tailFor(pid: Int): Array[String] = {
-      val out = Array.newBuilder[String]
-      var need = maxSpan - 1
-      var p = pid + 1
-      while (need > 0 && p < nParts) {
-        val h = heads.getOrElse(p, Array.empty)
-        val take = math.min(need, h.length)
-        out ++= h.take(take)
-        need -= take
-        p += 1
-      }
-      out.result()
-    }
-    val bcTails = sc.broadcast((0 until nParts).map(p => p -> tailFor(p)).toMap)
-
-    // Phase 1: per-line first match
-    val matches: Array[(Long, Int, Int)] = idxed
-      .mapPartitionsWithIndex { (pid, it) =>
-        val ts = bcTemplates.value.map(Template.decode)
-        val buf = it.toArray
-        if (buf.isEmpty) Iterator.empty
-        else {
-          val tail = bcTails.value.getOrElse(pid, Array.empty[String])
-          val window: IndexedSeq[String] = buf.map(_._2).toIndexedSeq ++ tail
-          val base = buf.head._1
-          buf.indices.iterator.flatMap { i =>
-            Datamaran.matchAt(window, i, ts, maxSpan).map(r => (base + i, r.typeIdx, r.span))
-          }
-        }
-      }
-      .collect()
-      .sortBy(_._1)
-
-    // Driver: greedy non-overlapping resolution (earliest start wins)
-    val accepted = scala.collection.mutable.LongMap.empty[(Int, Int)]
-    var cursor = 0L
-    for ((start, tid, span) <- matches) {
-      if (start >= cursor) {
-        accepted.update(start, (tid, span))
-        cursor = start + span
-      }
-    }
-    val bcAccepted = sc.broadcast(accepted.toMap)
-
-    // Phase 2: parse accepted spans, emit relational rows
-    val rows: RDD[(Int, String, Row)] = idxed.mapPartitionsWithIndex { (pid, it) =>
+    val exits: Array[Array[Int]] = lines.mapPartitionsWithIndex { (pid, it) =>
       val ts = bcTemplates.value.map(Template.decode)
-      val acc = bcAccepted.value
-      val buf = it.toArray
-      if (buf.isEmpty) Iterator.empty
-      else {
-        val tail = bcTails.value.getOrElse(pid, Array.empty[String])
-        val window: IndexedSeq[String] = buf.map(_._2).toIndexedSeq ++ tail
-        val base = buf.head._1
-        buf.indices.iterator.flatMap { i =>
-          val start = base + i
-          acc.get(start) match {
-            case Some((tid, span)) =>
-              val parsed = Matcher
-                .parse(ts(tid), Matcher.joinLines(window, i, span))
-                .getOrElse(sys.error(s"phase-2 reparse failed at line $start"))
-              Relational.toRows(parsed).iterator.map { tr =>
-                // NB: Vector(start, span) would harmonize the Int span to
-                // Long (numeric vararg widening) and break the row schema
-                val key: Vector[Any] =
-                  if (tr.path.isEmpty) Vector[Any](start: java.lang.Long, span: java.lang.Integer)
-                  else Vector[Any](start: java.lang.Long, tr.ord)
-                (tid, tr.path, Row.fromSeq(key ++ tr.values))
-              }
-            case None => Iterator.empty
-          }
+      Iterator.single(exitTable(window(it, pid, bcHeads.value, maxSpan), counts(pid), ts, maxSpan))
+    }.collect()
+
+    val entries = new Array[Int](exits.length)
+    for (pid <- 1 until exits.length)
+      entries(pid) = exits(pid - 1)(entries(pid - 1)) - counts(pid - 1)
+
+    val rows: RDD[(Int, String, Row)] = lines.mapPartitionsWithIndex { (pid, it) =>
+      val ts = bcTemplates.value.map(Template.decode)
+      val base = offsets(pid)
+      new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), ts, maxSpan,
+        entries(pid), counts(pid), _ => false).flatMap { r =>
+        val start = base + r.start
+        Relational.toRows(r.parsed).iterator.map { tr =>
+          // NB: Vector(start, span) would harmonize the Int span to
+          // Long (numeric vararg widening) and break the row schema
+          val key: Vector[Any] =
+            if (tr.path.isEmpty) Vector[Any](start: java.lang.Long, r.span: java.lang.Integer)
+            else Vector[Any](start: java.lang.Long, tr.ord)
+          (r.typeIdx, tr.path, Row.fromSeq(key ++ tr.values))
         }
       }
     }.cache()
 
     val tables = templates.zipWithIndex.flatMap { case (t, tid) =>
       Relational.schemas(t).map { sch =>
-        val keyFields =
-          if (sch.path.isEmpty)
-            Seq(
-              StructField("record_id", LongType, nullable = false),
-              StructField("span", IntegerType, nullable = false)
-            )
-          else
-            Seq(
-              StructField("record_id", LongType, nullable = false),
-              StructField("ord", StringType, nullable = false)
-            )
-        val schema = StructType(
-          keyFields ++ sch.cols.map(c =>
-            StructField(colName(c), StringType, nullable = false)
-          )
-        )
-        val rdd = rows
-          .filter { case (i, p, _) => i == tid && p == sch.path }
-          .map(_._3)
+        val key =
+          if (sch.path.isEmpty) StructField("span", IntegerType, nullable = false)
+          else StructField("ord", StringType, nullable = false)
+        val schema = StructType(StructField("record_id", LongType, nullable = false) +: key +:
+          sch.cols.map(c => StructField(colName(c), StringType, nullable = false)))
+        val rdd = rows.filter { case (i, p, _) => i == tid && p == sch.path }.map(_._3)
         ExtractedTable(tid, sch.path, spark.createDataFrame(rdd, schema))
       }
     }
@@ -163,11 +108,47 @@ object SparkExtract {
       StructField("start_line", LongType, nullable = false),
       StructField("span", IntegerType, nullable = false)
     ))
-    val recRows = sc.parallelize(
-      accepted.toSeq.sortBy(_._1).map { case (s, (tid, span)) => Row(tid, s, span) },
-      math.max(1, nParts)
-    )
-    SparkExtraction(spark.createDataFrame(recRows, recSchema), tables)
+    // the root row of a record is keyed (start_line, span)
+    val recRows = rows.filter(_._2.isEmpty).map { case (tid, _, row) => Row(tid, row.getLong(0), row.getInt(1)) }
+    val ex = SparkExtraction(spark.createDataFrame(recRows, recSchema), tables)
+    ex.onRelease = () => {
+      rows.unpersist(blocking = false)
+      bcTemplates.destroy()
+      bcHeads.destroy()
+    }
+    ex
+  }
+
+  /** Partition `pid`'s lines followed by the next `maxSpan - 1` lines of
+    * the dataset, read off the heads of the partitions after it.
+    */
+  private def window(part: Iterator[String], pid: Int, heads: Array[Array[String]], maxSpan: Int): IndexedSeq[String] = {
+    val tail = heads.iterator.drop(pid + 1).flatMap(_.iterator).take(maxSpan - 1)
+    ArraySeq.unsafeWrapArray((part ++ tail).toArray)
+  }
+
+  /** For each entry offset e < maxSpan, the window line where the cover
+    * entered at e leaves the partition's `n` lines (at or past `n`; e itself
+    * when e >= n, since such an entry skips the partition).
+    */
+  private def exitTable(window: IndexedSeq[String], n: Int, ts: Vector[Template], maxSpan: Int): Array[Int] = {
+    val exits = Array.tabulate(maxSpan)(identity)
+    if (n > 0) {
+      // the lines the e = 0 cover visits: all but the inner lines of its records
+      val visited = new java.util.BitSet(n)
+      visited.set(0, n)
+      val first = new Datamaran.Cover(window, ts, maxSpan, 0, n, _ => false)
+      first.foreach(r => visited.clear(r.start + 1, math.min(r.start + r.span, n)))
+      exits(0) = first.exit
+      var e = 1
+      while (e < math.min(n, maxSpan)) {
+        val c = new Datamaran.Cover(window, ts, maxSpan, e, n, i => visited.get(i))
+        c.foreach(_ => ())
+        exits(e) = if (c.exit < n) exits(0) else c.exit
+        e += 1
+      }
+    }
+    exits
   }
 
   /** Column names for DataFrames: dots in field paths become underscores. */

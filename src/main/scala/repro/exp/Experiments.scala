@@ -144,7 +144,9 @@ object Experiments {
         val ex = SparkExtract.extract(spark, rdd, infE.types.map(_.template), pE.maxSpan)
         ex.records.count() // force
         ex.tables.foreach(_.df.count())
-        (System.nanoTime() - t1) / 1000000L
+        val ms = (System.nanoTime() - t1) / 1000000L
+        ex.release()
+        ms
       }
       SizeTiming(mb, infG.timings.searchMs, infE.timings.searchMs, localMs, sparkMs)
     }

@@ -51,7 +51,7 @@ class RecordBreakerSpec extends AnyFunSuite {
     val lines = (0 until 50).map(i => s"$i|x$i").toVector
     val res = RecordBreaker.run(lines)
     val parsed = RecordBreaker.parseLine(res.structs.head, lines(7))
-    assert(parsed.fieldsByPath.map(_._2).toVector == Vector("7", "x7"))
+    assert(ParsedFields(parsed).map(_._2) == Vector("7", "x7"))
   }
 
   test("constant-count arrays are unfolded into structs (Fisher's rule)") {

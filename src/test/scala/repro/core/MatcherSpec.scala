@@ -76,7 +76,7 @@ class MatcherSpec extends AnyFunSuite {
   test("field paths are stable and hierarchical") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F, c(':'), F), ',', '\n')))
     val p = Matcher.parse(t, "h a:1,b:2\n").get
-    val paths = p.fieldsByPath.map(_._1).toVector
+    val paths = ParsedFields(p).map(_._1)
     assert(paths == Vector("f0", "a0.f0", "a0.f1", "a0.f0", "a0.f1"))
   }
 
@@ -157,7 +157,7 @@ class MatcherSpec extends AnyFunSuite {
       if (!vals.exists(v => v.exists(t.charset))) {
         val p = Matcher.parse(t, text)
         assert(p.isDefined, s"${t.pretty} should match ${text.trim}")
-        assert(p.get.fieldsByPath.map(_._2).toVector == vals)
+        assert(ParsedFields(p.get).map(_._2) == vals)
         checked += 1
       }
     }

@@ -4,8 +4,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.loggen._
 
-/** Distributed extraction: equivalence with the sequential extractor,
-  * relational output correctness, and a DuckDB oracle round-trip.
+/** Distributed extraction: equality with the sequential extractor on every
+  * partitioning, relational output correctness, release of cached data, and
+  * a DuckDB oracle round-trip.
   */
 class SparkExtractSpec extends SparkSpec {
 
@@ -39,6 +40,7 @@ class SparkExtractSpec extends SparkSpec {
     val rdd = spark.sparkContext.parallelize(gt.lines, math.max(2, gt.lines.length / 2))
     val ex = SparkExtract.extract(spark, rdd, ts, 10)
     assert(ex.records.count() == local.length.toLong)
+    ex.release()
   }
 
   test("more partitions than lines is handled") {
@@ -47,6 +49,65 @@ class SparkExtractSpec extends SparkSpec {
     val rdd = spark.sparkContext.parallelize(gt.lines, 64)
     val ex = SparkExtract.extract(spark, rdd, ts, 10)
     assert(ex.records.count() == gt.records.length.toLong)
+    ex.release()
+  }
+
+  test("property: spark equals local on every partitioning, row for row") {
+    def twoTypes(seed: Long): GtDataset = {
+      val r = new scala.util.Random(seed)
+      LogSynth.generate(DatasetSpec(s"two$seed", Label.MI,
+        Vector(Corpus.crashType(r) -> 1.0, Corpus.kvType(r) -> 1.0), 40, NoiseSpec.some(0.1), seed))
+    }
+    val pair = Template(Vector(F, c(','), F, c('\n')))
+    // every pair line can start a 3-pair record, so a wrong entry offset
+    // shifts the records' phase
+    val pairs3 = Template(Vector(F, c(','), F, c('\n'), F, c(','), F, c('\n'), F, c(','), F, c('\n')))
+    val rnd = new scala.util.Random(44)
+    val phased = Vector.fill(60)(if (rnd.nextInt(5) == 0) "x" else s"${rnd.nextInt(9)},${rnd.nextInt(9)}")
+    // (name, lines, templates, record count the input must give)
+    val inputs: Vector[(String, Vector[String], Vector[Template], Option[Int])] =
+      Vector(41L, 42L, 43L).map { seed =>
+        val gt = twoTypes(seed)
+        (s"two-type seed $seed", gt.lines, templatesFor(gt), None)
+      } ++ Vector(
+        // 3-line records only: with n/2 partitions every record straddles
+        { val gt = crashGt(40, 0.0, 22); ("crash 40", gt.lines, templatesFor(gt), None) },
+        // few lines: most partition counts exceed the line count
+        { val gt = crashGt(5, 0.0, 23); ("crash 5", gt.lines, templatesFor(gt), Some(gt.records.length)) },
+        ("pairs", phased, Vector(pairs3, pair), None),
+        ("empty", Vector.empty[String], Vector(pair), Some(0)),
+        ("one line", Vector("a,b"), Vector(pair), Some(1))
+      )
+    for ((name, lines, ts, expected) <- inputs) {
+      assert(ts.nonEmpty, name)
+      val local = Datamaran.extract(lines, ts, 10)
+      expected.foreach(k => assert(local.length == k, name))
+      if (name.startsWith("two-type")) {
+        assert(ts.length == 2, s"$name: ${ts.map(_.pretty)}")
+        assert(local.exists(_.span == 3), s"$name has no 3-line record")
+      }
+      val n = lines.length
+      val partitionCounts = Vector(1, 2, 3, 7, n / 3, n / 2, n, n + 5).map(math.max(1, _)).distinct
+      for (k <- partitionCounts) {
+        val ex = SparkExtract.extract(spark, spark.sparkContext.parallelize(lines, k), ts, 10)
+        SparkEquality.mismatch(ex, local).foreach(m => fail(s"$name, $k partitions: $m"))
+        ex.release()
+      }
+    }
+  }
+
+  test("release unpersists the cached rows") {
+    val sc = spark.sparkContext
+    val gt = crashGt(30, 0.05, 27)
+    val ts = templatesFor(gt)
+    // ids, not sizes: the context cleaner may free an earlier test's RDD meanwhile
+    val before = sc.getPersistentRDDs.keySet
+    val ex = SparkExtract.extract(spark, sc.parallelize(gt.lines, 4), ts, 10)
+    assert(ex.records.count() > 0)
+    ex.tables.foreach(_.df.count())
+    assert((sc.getPersistentRDDs.keySet -- before).size == 1)
+    ex.release()
+    assert((sc.getPersistentRDDs.keySet -- before).isEmpty)
   }
 
   test("root table rows equal the local relational conversion") {
