@@ -18,7 +18,7 @@ object ExtractJob {
     val input = args(0)
     val outDir = args(1)
     val exhaustive = args.length < 3 || args(2) != "greedy"
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName("datamaran-extract")
       .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()

@@ -13,7 +13,7 @@ object RuntimeVsSizeJob {
   def main(args: Array[String]): Unit = {
     val maxMB = if (args.nonEmpty) args(0).toDouble else 16.0
     val sizes = Vector(1.0, 2.0, 4.0, 8.0, 16.0).filter(_ <= maxMB)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName("datamaran-runtime")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.ui.enabled", false)

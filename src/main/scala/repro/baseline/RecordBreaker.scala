@@ -76,7 +76,7 @@ object RecordBreaker {
     while (changed) {
       changed = false
       val counts = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.Set[Int]]
-      for (i <- idxs; p <- Matcher.parse(t, lines(i) + "\n").iterator; (path, k) <- p.arrayCounts)
+      for (i <- idxs; (_, p) <- Matcher.smallestSpanAt(t, lines, i, 1); (path, k) <- p.arrayCounts)
         counts.getOrElseUpdate(path, scala.collection.mutable.Set.empty) += k
       val constant = counts.collectFirst {
         case (path, ks) if ks.size == 1 && ks.head <= 64 => (path, ks.head)
@@ -86,7 +86,7 @@ object RecordBreaker {
           // prefer the FULL unfold (fewest remaining array nodes)
           val unfolded = repro.core.Refine.unfoldCandidates(t, Map(path -> Set(k)))
             .sortBy(c => arrayNodeCount(c.items))
-            .find(c => Matcher.parse(c, lines(idxs.head) + "\n").isDefined)
+            .find(c => Matcher.smallestSpanAt(c, lines, idxs.head, 1).isDefined)
           unfolded match {
             case Some(u) if u.canonical != t.canonical => t = u; changed = true
             case _ => ()
@@ -106,7 +106,7 @@ object RecordBreaker {
     * grouped under it). Used by the evaluation criterion.
     */
   def parseLine(s: RbStruct, line: String): Parsed =
-    Matcher.parse(s.template, line + "\n").getOrElse(
+    Matcher.smallestSpanAt(s.template, Vector(line), 0, 1).map(_._2).getOrElse(
       sys.error(s"RecordBreaker line failed to re-parse under its own template")
     )
 }

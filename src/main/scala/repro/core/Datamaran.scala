@@ -176,7 +176,8 @@ object Datamaran {
     * single template) and each partition of [[SparkExtract.extract]] run it.
     * Entered at line `from`, it scans left to right; at each line the
     * templates are tried in priority order (the first iteration's type
-    * first) with their smallest matching span; unmatched lines are noise.
+    * first), each by the one LL(1) parse that fixes its span; unmatched
+    * lines are noise.
     * It places records only at lines before `until` (a record may run past
     * it) and ends at the first line at or past `until` that it reaches, or
     * earlier at the first line where `stop` holds. Records stream one at a
@@ -219,8 +220,10 @@ object Datamaran {
   ): Vector[RecordInstance] =
     new Cover(lines, templates, maxSpan, 0, lines.length, _ => false).toVector
 
-  /** Shared match rule: first template (in priority order) with a smallest
-    * matching span at `start`, with its parse.
+  /** Shared match rule: the first template (in priority order) that matches
+    * at `start`, with its span and parse. The template form is LL(1) and '\n'
+    * is always a formatting character, so a record starting at a line has at
+    * most one parse, found by one pass ([[Matcher.smallestSpanAt]]).
     */
   def matchAt(
       lines: IndexedSeq[String],

@@ -64,7 +64,7 @@ final case class Parsed(segs: Vector[Seg]) extends Serializable {
   }
 }
 
-/** LL(1) parser for structure templates (paper §3.3 Remark: the form of
+/** LL(1) matcher for structure templates (paper §3.3 Remark: the form of
   * Assumption 3 is an LL(1) grammar, so extraction is linear-time).
   *
   *  - literal char: must equal the next input char;
@@ -73,16 +73,57 @@ final case class Parsed(segs: Vector[Seg]) extends Serializable {
   *  - array `({A}x)*{A}y`: parse A; on `x` continue, on `y` stop (x != y
   *    keeps this deterministic).
   *
-  * The whole input must be consumed (records end exactly at their last
-  * '\n').
+  * The input is a window of lines (which hold no '\n') read in place, each
+  * followed by a virtual '\n'. The parse is deterministic, so over the
+  * window it runs exactly as over any shorter span up to that span's end,
+  * and '\n' is in every charset, so no field crosses a line end. A span of
+  * s lines thus matches iff the window's parse completes at the end of its
+  * s-th line: a record starting at a line has at most one parse, and that
+  * parse fixes its span.
   */
 object Matcher {
 
-  /** Parse `text` (which must include its trailing '\n') against `t`. */
-  def parse(t: Template, text: String): Option[Parsed] = {
+  /** Parse `text`, which must end with '\n', as one whole record of `t`. */
+  def parse(t: Template, text: String): Option[Parsed] =
+    if (text.isEmpty || text.last != '\n') None
+    else {
+      val lines = text.substring(0, text.length - 1).split("\n", -1).toIndexedSeq
+      smallestSpanAt(t, lines, 0, lines.length).collect {
+        case (span, parsed) if span == lines.length => parsed
+      }
+    }
+
+  /** The line span s at which lines[start .. start+s) parse as one record of
+    * `t`, with that parse; unique when it exists (see above), so also the
+    * smallest. One parse reads at most min(maxSpan, lines.length - start)
+    * lines; running out of them means no match.
+    */
+  def smallestSpanAt(
+      t: Template,
+      lines: IndexedSeq[String],
+      start: Int,
+      maxSpan: Int
+  ): Option[(Int, Parsed)] = {
+    val end = start + math.min(maxSpan, lines.length - start) // window [start, end)
+    if (end <= start) return None
     val stop = t.charset
-    var pos = 0
-    val n = text.length
+    // cursor: column `col` of line `ln`; col == cur.length is its '\n'
+    var ln = start
+    var cur = lines(start)
+    var col = 0
+
+    /** Character under the cursor, -1 past the window. */
+    def peek: Int = if (ln >= end) -1 else if (col < cur.length) cur.charAt(col) else '\n'
+
+    def advance(): Unit =
+      if (col < cur.length) col += 1
+      else { ln += 1; col = 0; cur = if (ln < end) lines(ln) else null }
+
+    /** Text from line `fromLn`, column `fromCol` up to the cursor. */
+    def textFrom(fromLn: Int, fromCol: Int): String =
+      if (fromLn == ln) cur.substring(fromCol, col)
+      else
+        lines.slice(fromLn, ln).mkString("", "\n", "\n").substring(fromCol) + cur.substring(0, col)
 
     def parseItems(items: Vector[TElem], prefix: String): Option[Vector[Seg]] = {
       val out = Vector.newBuilder[Seg]
@@ -92,19 +133,21 @@ object Matcher {
       while (idx < items.length) {
         items(idx) match {
           case TChar(c) =>
-            if (pos >= n || text.charAt(pos) != c) return None
+            if (peek != c) return None
             out += LitSeg(c.toString)
-            pos += 1
+            advance()
           case TField =>
-            val start = pos
-            while (pos < n && !stop.contains(text.charAt(pos))) pos += 1
-            if (pos == start) return None
-            out += FieldSeg(s"${prefix}f$fldIdx", text.substring(start, pos))
+            if (ln >= end) return None
+            val from = col
+            while (col < cur.length && !stop.contains(cur.charAt(col))) col += 1
+            if (col == from) return None
+            out += FieldSeg(s"${prefix}f$fldIdx", cur.substring(from, col))
             fldIdx += 1
           case TArray(body, sep, term) =>
             val apath = s"${prefix}a$arrIdx"
             arrIdx += 1
-            val startPos = pos
+            val fromLn = ln
+            val fromCol = col
             val elems = Vector.newBuilder[Vector[Seg]]
             var done = false
             while (!done) {
@@ -112,60 +155,23 @@ object Matcher {
                 case None => return None
                 case Some(es) => elems += es
               }
-              if (pos >= n) return None
-              val c = text.charAt(pos)
-              if (c == sep) { pos += 1 }
-              else if (c == term) { done = true }
+              val c = peek
+              if (c == sep) advance()
+              else if (c == term) done = true
               else return None
             }
-            // pos currently points AT the terminator; array text excludes it
-            out += ArraySeg(apath, text.substring(startPos, pos), elems.result())
+            // the cursor is AT the terminator; array text excludes it
+            out += ArraySeg(apath, textFrom(fromLn, fromCol), elems.result())
             out += LitSeg(term.toString)
-            pos += 1
+            advance()
         }
         idx += 1
       }
       Some(out.result())
     }
 
-    parseItems(t.items, "") match {
-      case Some(segs) if pos == n => Some(Parsed(segs))
-      case _                      => None
-    }
-  }
-
-  /** Smallest line span s in [t.minLines, maxSpan] such that
-    * lines[start .. start+s) parse as one record of `t`, together with that
-    * parse; the record text is the joined lines each terminated by '\n'.
-    */
-  def smallestSpanAt(
-      t: Template,
-      lines: IndexedSeq[String],
-      start: Int,
-      maxSpan: Int
-  ): Option[(Int, Parsed)] = {
-    val first = math.max(1, t.minLines)
-    // a fixed-span template has a single candidate span
-    val widest = if (t.fixedLineSpan) first else maxSpan
-    val last = math.min(math.min(widest, maxSpan), lines.length - start)
-    var s = first
-    while (s <= last) {
-      parse(t, joinLines(lines, start, s)) match {
-        case Some(parsed) => return Some((s, parsed))
-        case None         => s += 1
-      }
-    }
-    None
-  }
-
-  /** lines[start .. start+span) joined with each line '\n'-terminated. */
-  def joinLines(lines: IndexedSeq[String], start: Int, span: Int): String = {
-    val sb = new StringBuilder
-    var i = start
-    while (i < start + span) {
-      sb.append(lines(i)).append('\n')
-      i += 1
-    }
-    sb.toString
+    // every template ends with a line-ending item: a complete parse ends
+    // after the '\n' of its last line
+    parseItems(t.items, "").map(segs => (ln - start, Parsed(segs)))
   }
 }

@@ -63,15 +63,14 @@ final case class Template private (items: Vector[TElem]) extends Serializable {
   /** Human-readable form, e.g. `F,"(F,)*F",F\n`. */
   lazy val pretty: String = Template.pretty(items)
 
-  /** Number of '\n' a matching record must contain at minimum (arrays count
-    * with a single body instance). This is the minimum line span.
+  /** True if every match spans the same number of lines (no '\n' inside
+    * any array body or separator position that can repeat).
     */
-  lazy val minLines: Int = Template.countMinNewlines(items)
-
-  /** True if every match has exactly `minLines` lines (no '\n' inside any
-    * array body or separator position that can repeat).
-    */
-  lazy val fixedLineSpan: Boolean = !Template.newlineInRepeatablePosition(items)
+  lazy val fixedLineSpan: Boolean = !items.exists {
+    // a body's encoding spells all its literals, separators and terminators
+    case TArray(b, x, _) => x == '\n' || Template.encode(b).contains('\n')
+    case _               => false
+  }
 
   /** Length of the canonical string — the `len(ST)` of the MDL formula. */
   def encodedLength: Int = canonical.length
@@ -174,18 +173,4 @@ object Template {
     }
     if (!curEmpty) None else Some(out.result())
   }
-
-  private def countMinNewlines(items: Vector[TElem]): Int = items.map {
-    case TChar('\n')      => 1
-    case TChar(_) | TField => 0
-    case TArray(b, x, y)  =>
-      countMinNewlines(b) + (if (y == '\n') 1 else 0)
-  }.sum
-
-  private def newlineInRepeatablePosition(items: Vector[TElem]): Boolean =
-    items.exists {
-      case TArray(b, x, _) =>
-        x == '\n' || countMinNewlines(b) > 0 || newlineInRepeatablePosition(b)
-      case _ => false
-    }
 }

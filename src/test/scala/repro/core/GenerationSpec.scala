@@ -193,7 +193,7 @@ class GenerationSpec extends AnyFunSuite {
   test("multi-line record template survives generation") {
     val lines = (0 until 50).flatMap(i => Vector(s"BEGIN $i", s"  v=${i * 2}", "END")).toVector
     val stats = Generation.exhaustiveSearch(lines, p)
-    val multi = stats.filter(_.template.minLines == 3)
+    val multi = stats.filter(s => Template.lineGroups(s.template.items).map(_.length).contains(3))
     assert(multi.nonEmpty, stats.map(_.template.pretty).take(10).mkString("; "))
   }
 }

@@ -93,7 +93,7 @@ class MatcherSpec extends AnyFunSuite {
 
   /** The span's parse must be the parse of the joined span text. */
   private def spanParse(t: Template, lines: Vector[String], start: Int, span: Int) =
-    (span, Matcher.parse(t, Matcher.joinLines(lines, start, span)).get)
+    (span, Matcher.parse(t, lines.slice(start, start + span).map(_ + "\n").mkString).get)
 
   test("smallestSpanAt: fixed-span template") {
     val t = Template(Vector(F, c(':'), F, c('\n'), c('}'), c('\n')))
@@ -107,10 +107,6 @@ class MatcherSpec extends AnyFunSuite {
     val lines = Vector("a", "b", "c")
     assert(Matcher.smallestSpanAt(t, lines, 0, 2).isEmpty)
     assert(Matcher.smallestSpanAt(t, lines, 0, 3).contains(spanParse(t, lines, 0, 3)))
-  }
-
-  test("joinLines terminates every line") {
-    assert(Matcher.joinLines(Vector("a", "b"), 0, 2) == "a\nb\n")
   }
 
   // ---- property: render-then-parse roundtrip
@@ -162,5 +158,152 @@ class MatcherSpec extends AnyFunSuite {
       }
     }
     assert(checked > 150)
+  }
+
+  // ---- property: one parse equals the try-every-span rule
+
+  /** The string parser the line-window matcher replaced: `text` (with its
+    * trailing '\n') must be consumed whole. It shares no code with
+    * [[Matcher]], so the property below also guards the segment texts.
+    */
+  private def refParse(t: Template, text: String): Option[Parsed] = {
+    val stop = t.charset
+    var pos = 0
+    val n = text.length
+    def items(its: Vector[TElem], prefix: String): Option[Vector[Seg]] = {
+      val out = Vector.newBuilder[Seg]
+      var idx = 0
+      var arrIdx = 0
+      var fldIdx = 0
+      while (idx < its.length) {
+        its(idx) match {
+          case TChar(ch) =>
+            if (pos >= n || text.charAt(pos) != ch) return None
+            out += LitSeg(ch.toString)
+            pos += 1
+          case TField =>
+            val from = pos
+            while (pos < n && !stop.contains(text.charAt(pos))) pos += 1
+            if (pos == from) return None
+            out += FieldSeg(s"${prefix}f$fldIdx", text.substring(from, pos))
+            fldIdx += 1
+          case TArray(body, sep, term) =>
+            val apath = s"${prefix}a$arrIdx"
+            arrIdx += 1
+            val from = pos
+            val elems = Vector.newBuilder[Vector[Seg]]
+            var done = false
+            while (!done) {
+              items(body, s"$apath.") match {
+                case None     => return None
+                case Some(es) => elems += es
+              }
+              if (pos >= n) return None
+              if (text.charAt(pos) == sep) pos += 1
+              else if (text.charAt(pos) == term) done = true
+              else return None
+            }
+            out += ArraySeg(apath, text.substring(from, pos), elems.result())
+            out += LitSeg(term.toString)
+            pos += 1
+        }
+        idx += 1
+      }
+      Some(out.result())
+    }
+    items(t.items, "").filter(_ => pos == n).map(Parsed(_))
+  }
+
+  private def joined(lines: Vector[String], start: Int, span: Int): String =
+    lines.slice(start, start + span).map(_ + "\n").mkString
+
+  /** The replaced span rule: the smallest span whose joined lines parse. */
+  private def refSpanAt(t: Template, lines: Vector[String], start: Int, maxSpan: Int) =
+    (1 to math.min(maxSpan, lines.length - start)).iterator
+      .map(s => (s, refParse(t, joined(lines, start, s))))
+      .collectFirst { case (s, Some(p)) => (s, p) }
+
+  private val litChars = Vector(',', ';', ':', ' ', '"', '\r', '\n')
+
+  private def genItems(depth: Int): Gen[Vector[TElem]] =
+    Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, genElem(depth)).map(_.toVector))
+
+  private def genElem(depth: Int): Gen[TElem] = {
+    val leaf = Gen.frequency(3 -> Gen.const(TField), 3 -> Gen.oneOf(litChars).map(TChar(_)))
+    if (depth == 0) leaf
+    else Gen.frequency(3 -> leaf, 1 -> (for {
+      body <- genItems(depth - 1)
+      sep <- Gen.oneOf(litChars)
+      term <- Gen.oneOf(litChars.filterNot(_ == sep))
+    } yield TArray(body, sep, term)))
+  }
+
+  /** Random template, including '\n' as an array separator or inside an
+    * array body (spans that vary per record).
+    */
+  private val genTemplate: Gen[Template] = for {
+    items <- genItems(2)
+    last <- Gen.oneOf(TChar('\n'), TArray(Vector(TField), ',', '\n'))
+  } yield Template(items :+ last)
+
+  private val textChars = Vector('a', 'b', '7', '\u00e9', '\u4e2d', '\r', ' ', ',', ':', '"')
+
+  /** A record of `t` with random values; one value in ten may hold
+    * formatting characters, so some renderings do not parse.
+    */
+  private def render(t: Template): Gen[String] = {
+    val clean = 'a' +: textChars.filterNot(t.charset)
+    val value = Gen.frequency(
+      9 -> Gen.choose(1, 3).flatMap(k => Gen.listOfN(k, Gen.oneOf(clean))),
+      1 -> Gen.choose(1, 3).flatMap(k => Gen.listOfN(k, Gen.oneOf(textChars)))
+    ).map(_.mkString)
+    def items(its: Vector[TElem]): Gen[String] =
+      its.foldLeft(Gen.const("")) { (acc, it) =>
+        val next: Gen[String] = it match {
+          case TField          => value
+          case TChar(ch)       => Gen.const(ch.toString)
+          case TArray(b, x, y) =>
+            Gen.choose(1, 3).flatMap(k => Gen.listOfN(k, items(b))).map(_.mkString(x.toString) + y)
+        }
+        for (a <- acc; b <- next) yield a + b
+      }
+    items(t.items)
+  }
+
+  /** Records of the template between noise lines (empty ones included),
+    * sometimes cut short so the last record runs past the input.
+    */
+  private val genCase: Gen[(Template, Vector[String])] = for {
+    t <- genTemplate
+    noise = Gen.choose(0, 4).flatMap(k => Gen.listOfN(k, Gen.oneOf(textChars))).map(_.mkString + "\n")
+    blocks <- Gen.choose(1, 5).flatMap(n => Gen.listOfN(n, Gen.frequency(3 -> render(t), 1 -> noise)))
+    cut <- Gen.frequency(3 -> Gen.const(0), 1 -> Gen.choose(1, 2))
+  } yield {
+    val lines = blocks.mkString.split("\n", -1).toVector.init
+    (t, lines.dropRight(cut))
+  }
+
+  test("property: one parse equals the try-every-span rule") {
+    val L = 6
+    var matches = 0
+    var variableSpan = 0
+    var multiLineArrays = 0
+    for ((t, lines) <- samples(genCase, 400); start <- 0 to lines.length; maxSpan <- 1 to L) {
+      val got = Matcher.smallestSpanAt(t, lines, start, maxSpan)
+      assert(got == refSpanAt(t, lines, start, maxSpan),
+        s"${t.pretty} at $start, maxSpan $maxSpan over ${lines.mkString("|")}")
+      for ((span, p) <- got) {
+        matches += 1
+        if (!t.fixedLineSpan && span > 1) variableSpan += 1
+        if (p.segs.exists { case a: ArraySeg => a.text.contains('\n'); case _ => false })
+          multiLineArrays += 1
+      }
+      if (maxSpan == L) for (s <- 1 to math.min(L, lines.length - start)) {
+        val text = joined(lines, start, s)
+        assert(Matcher.parse(t, text) == refParse(t, text), s"${t.pretty} on $text")
+      }
+    }
+    assert(matches > 1000 && variableSpan > 100 && multiLineArrays > 100,
+      s"matches $matches, variable-span $variableSpan, multi-line arrays $multiLineArrays")
   }
 }

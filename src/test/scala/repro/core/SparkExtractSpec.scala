@@ -105,9 +105,9 @@ class SparkExtractSpec extends SparkSpec {
     val ex = SparkExtract.extract(spark, sc.parallelize(gt.lines, 4), ts, 10)
     assert(ex.records.count() > 0)
     ex.tables.foreach(_.df.count())
-    assert((sc.getPersistentRDDs.keySet -- before).size == 1)
+    assert(sc.getPersistentRDDs.keySet.diff(before).size == 1)
     ex.release()
-    assert((sc.getPersistentRDDs.keySet -- before).isEmpty)
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
   }
 
   test("root table rows equal the local relational conversion") {
@@ -149,7 +149,7 @@ class SparkExtractSpec extends SparkSpec {
   test("oracle round-trip: extracted lineitem log aggregates match DuckDB") {
     val li = SynthData.lineitem(spark, sf = 0.002).limit(4000).cache()
     val cols = li.columns
-    val logDf = li.select(concat_ws("|", cols.map(col): _*) as "line")
+    val logDf = li.select(concat_ws("|", cols.toIndexedSeq.map(col): _*) as "line")
     val lines = logDf.collect().map(_.getString(0)).toVector
     // known template: 10 pipe-separated fields per line
     val items = Vector.tabulate(cols.length)(i =>

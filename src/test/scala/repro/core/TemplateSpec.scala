@@ -42,22 +42,22 @@ class TemplateSpec extends AnyFunSuite {
     assert(t.charset == Set('[', ':', ']', ' ', '\n'))
   }
 
-  test("minLines counts top-level newlines") {
+  test("lineGroups counts top-level lines") {
     val t = Template(Vector(F, c('\n'), F, c('\n')))
-    assert(t.minLines == 2)
+    assert(Template.lineGroups(t.items).map(_.length).contains(2))
     assert(t.fixedLineSpan)
   }
 
   test("array terminated by newline contributes one minimum line") {
     val t = Template(Vector(TArray(Vector(F), ',', '\n')))
-    assert(t.minLines == 1)
+    assert(Template.lineGroups(t.items).map(_.length).contains(1))
     assert(t.fixedLineSpan)
   }
 
   test("newline as array separator makes the span variable") {
     val t = Template(Vector(TArray(Vector(F), '\n', '!'), c('\n')))
     assert(!t.fixedLineSpan)
-    assert(t.minLines == 1)
+    assert(Template.lineGroups(t.items).map(_.length).contains(1))
   }
 
   test("TArray rejects sep == term") {
