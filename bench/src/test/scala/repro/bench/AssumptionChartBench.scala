@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Reproduces Table 1 (the assumption comparison chart) behaviourally:
   * a system "needs" an assumption iff it fails a probe dataset violating
@@ -14,13 +14,9 @@ import repro.exp.{Experiments, Tables}
 class AssumptionChartBench extends AnyFunSuite {
 
   test("Table 1: assumption comparison chart") {
-    val (rows, dmCtrl, rbCtrl) = Experiments.assumptionChart()
-    println(s"control dataset: DM=${if (dmCtrl) "ok" else "FAIL"} RB=${if (rbCtrl) "ok" else "FAIL"}")
-    println(Tables.render("Table 1 (paper: Cov No/Yes, Non-ovl Yes/Yes, Form Yes/Yes, Bnd Yes/No, Tok Yes/No)",
-      Vector("assumption", "probe", "RecordBreaker", "Datamaran"),
-      rows.map(r => Vector(r.assumption, r.probe,
-        if (r.rbNeedsIt) "Yes" else "No",
-        if (r.dmNeedsIt) "Yes" else "No"))))
+    val fig = Experiments.assumptionChart()
+    println(fig.text)
+    val (rows, dmCtrl, rbCtrl) = fig.rows
 
     assert(dmCtrl && rbCtrl, "both systems must handle the control dataset")
     def row(a: String) = rows.find(_.assumption == a).get

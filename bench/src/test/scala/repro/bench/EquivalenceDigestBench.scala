@@ -4,12 +4,11 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.security.MessageDigest
 import repro.SparkSpec
 import repro.core._
-import repro.exp.Experiments
 import repro.loggen.{Corpus, LogSynth}
 
 /** Equivalence harness for changes that must not change output. For every
   * `Corpus.manual25` + `Corpus.github100` spec, under exhaustive and greedy
-  * search (`Experiments.defaults`), it prints one line
+  * search (`DmParams(exhaustive = ...)`), it prints one line
   *
   *   EQ <exhaustive|greedy> <spec id> <digest> types=<n> records=<n>
   *
@@ -42,7 +41,7 @@ class EquivalenceDigestBench extends SparkSpec {
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
     val results = try {
       val futures = for (exhaustive <- Vector(true, false); spec <- specs) yield Future {
-        val p = Experiments.defaults(exhaustive)
+        val p = DmParams(exhaustive = exhaustive)
         val gt = LogSynth.generate(spec)
         val inf = Datamaran.infer(gt.lines, p)
         val ts = inf.types.map(_.template)

@@ -1,8 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Experiments, Tables}
-import repro.loggen.{Corpus, Label}
+import repro.exp.Experiments
+import repro.loggen.Label
 
 /** Reproduces Table 4 + Fig 17a (corpus labels/distribution) and Fig 17b +
   * the §5.3.2 headline (DATAMARAN 95.5% vs RecordBreaker 29.2%) on the
@@ -12,29 +12,9 @@ import repro.loggen.{Corpus, Label}
 class GitHubAccuracyBench extends AnyFunSuite {
 
   test("Fig 17a/17b: GitHub corpus accuracy, DATAMARAN vs RecordBreaker") {
-    val specs = Corpus.github100
-    val dist = specs.groupBy(_.label).view.mapValues(_.length).toMap
-    println(Tables.render("Fig 17a: corpus label distribution (paper: 44/14/13/18/11)",
-      Vector("label", "count"),
-      Label.all.map(l => Vector(l.show, dist.getOrElse(l, 0).toString))))
-
-    val outcomes = Experiments.runAccuracy(specs)
-    val cats = Experiments.byCategory(outcomes)
-    println(Tables.render(
-      "Fig 17b: accuracy by category — paper DM-exh: 100/85.7/92.3/94.4 overall 95.5; " +
-        "DM-greedy: 100/78.6/76.9/83.3; RB: 56.8/7.1/0/0 overall 29.2",
-      Vector("category", "n", "DM exhaustive", "DM greedy", "RecordBreaker"),
-      cats.map(c => Vector(c.category, c.n.toString,
-        Tables.pct(c.dmExhaustive), Tables.pct(c.dmGreedy), Tables.pct(c.rb)))))
-
-    val nsOutcomes = outcomes.filter(_.label == Label.NS)
-    println(s"NS datasets where DATAMARAN correctly reports no structure: " +
-      s"${nsOutcomes.count(_.dmExhaustive)}/${nsOutcomes.length}")
-
-    val failures = outcomes.filter(o => o.label != Label.NS && !o.dmExhaustive)
-    println(s"DM-exhaustive failures (${failures.length}):")
-    failures.foreach(f =>
-      println(s"  ${f.id} [${f.label.show}]: ${f.dmExhReasons.headOption.getOrElse("?")}"))
+    val fig = Experiments.gitHubAccuracy()
+    println(fig.text)
+    val cats = fig.rows
 
     val overall = cats.last
     // shape assertions: which system wins, by roughly what factor, and the

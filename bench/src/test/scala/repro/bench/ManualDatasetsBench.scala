@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Experiments, Tables}
-import repro.loggen.Corpus
+import repro.exp.Experiments
 
 /** Reproduces Table 5 (dataset characteristics) + §5.2.1 (25/25 successful
   * extractions) + the Fig 14b structural-complexity column on the 25
@@ -11,31 +10,9 @@ import repro.loggen.Corpus
 class ManualDatasetsBench extends AnyFunSuite {
 
   test("Table 5 + §5.2.1 + Fig 14b: manual datasets") {
-    val outcomes = Experiments.runAccuracy(Corpus.manual25, withComplexity = true)
-    println(Tables.render(
-      "Table 5 analogs: characteristics, extraction success (paper: 25/25), search/extract time",
-      Vector("dataset", "label", "size(MB)", "#types", "cx(>=10%)",
-        "DM-exh", "DM-greedy", "RB", "searchMs", "extractMs"),
-      outcomes.map(o => Vector(
-        o.id, o.label.show, f"${o.sizeChars / 1e6}%.2f", o.dmTypesFound.toString,
-        o.structuralComplexity.toString,
-        if (o.dmExhaustive) "ok" else "FAIL",
-        if (o.dmGreedy) "ok" else "FAIL",
-        if (o.rb) "ok" else "FAIL",
-        o.searchMsExh.toString, o.extractMsExh.toString))))
-
-    val okE = outcomes.count(_.dmExhaustive)
-    println(s"DM exhaustive: $okE/${outcomes.length} successful (paper: 25/25)")
-    outcomes.filterNot(_.dmExhaustive).foreach(o =>
-      println(s"  FAIL ${o.id}: ${o.dmExhReasons.headOption.getOrElse("?")}"))
-
-    // Fig 14b shape: runtime grows with structural complexity
-    val byCx = outcomes.sortBy(_.structuralComplexity)
-    val lowCx = byCx.take(8).map(_.searchMsExh.toDouble)
-    val highCx = byCx.takeRight(8).map(_.searchMsExh.toDouble)
-    println(f"search time: low-complexity avg ${lowCx.sum / 8}%.0f ms, " +
-      f"high-complexity avg ${highCx.sum / 8}%.0f ms")
-
+    val fig = Experiments.manualDatasets()
+    println(fig.text)
+    val okE = fig.rows.count(_.dmExhaustive)
     assert(okE >= 23, s"paper reports 25/25; we require >= 23, got $okE")
   }
 }

@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Experiments, Tables}
-import repro.loggen.Corpus
+import repro.exp.Experiments
 
 /** Reproduces Fig 15 (runtime vs parameters M, alpha, L) and Fig 16 (how
   * often the returned structure is the optimal — best-MDL — one, as a
@@ -11,14 +10,10 @@ import repro.loggen.Corpus
 class ParamSensitivityBench extends AnyFunSuite {
 
   test("Fig 15 + Fig 16: parameter sensitivity") {
-    val specs = Corpus.manual25.filter(_.nBlocks <= 1500).take(12)
-    val rows = Experiments.paramSweep(specs)
-    println(Tables.render(
-      "Fig 15/16: parameter sensitivity (paper: robust; M=50->1000 adds ~10pp optimal-found)",
-      Vector("param", "value", "avg search ms", "optimal found"),
-      rows.map(r => Vector(r.param, r.value, f"${r.avgSearchMs}%.0f", Tables.pct(r.optimalFoundPct)))))
+    val fig = Experiments.paramSensitivity()
+    println(fig.text)
 
-    val m = rows.filter(_.param == "M")
+    val m = fig.rows.filter(_.param == "M")
     // more candidates evaluated -> can only help finding the optimum
     assert(m.last.optimalFoundPct >= m.head.optimalFoundPct - 1e-9)
     // and costs more time

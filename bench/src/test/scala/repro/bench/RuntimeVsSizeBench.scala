@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Reproduces Fig 14a + §5.2.2 prose: running time vs dataset size, greedy
   * vs exhaustive search, local vs distributed (Spark) extraction. The
@@ -12,12 +12,9 @@ import repro.exp.{Experiments, Tables}
 class RuntimeVsSizeBench extends SparkSpec {
 
   test("Fig 14a: running time vs dataset size") {
-    val rows = Experiments.runtimeVsSize(Vector(1.0, 2.0, 4.0, 8.0), spark)
-    println(Tables.render(
-      "Fig 14a: running time vs size (paper: avg 17s greedy / 37s exhaustive on <50MB; extraction dominates large)",
-      Vector("size(MB)", "greedy search", "exhaustive search", "local extract", "spark extract"),
-      rows.map(r => Vector(f"${r.sizeMB}%.1f", Tables.ms(r.greedySearchMs),
-        Tables.ms(r.exhaustiveSearchMs), Tables.ms(r.localExtractMs), Tables.ms(r.sparkExtractMs)))))
+    val fig = Experiments.runtimeVsSize(8.0, spark)
+    println(fig.text)
+    val rows = fig.rows
 
     // search time is bounded by the sample, so it must NOT scale with size
     val s1 = rows.head.exhaustiveSearchMs.toDouble

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Reproduces Table 3: the per-step time complexity of DATAMARAN, verified
   * empirically by sweeping the governing variable of each step:
@@ -11,15 +11,10 @@ import repro.exp.{Experiments, Tables}
 class StepComplexityBench extends AnyFunSuite {
 
   test("Table 3: per-step timing under sweeps") {
-    val rows = Experiments.stepComplexity()
-    println(Tables.render(
-      "Table 3: step timings (paper: gen O(S L 2^c), prune O(K log K), eval O(M S), extract O(T))",
-      Vector("variable", "value", "generation", "pruning", "evaluation", "extraction", "K"),
-      rows.map(r => Vector(r.variable, r.value, Tables.ms(r.generationMs),
-        Tables.ms(r.pruningMs), Tables.ms(r.evaluationMs), Tables.ms(r.extractionMs),
-        r.candidatesK.toString))))
+    val fig = Experiments.stepComplexity()
+    println(fig.text)
 
-    def sweep(name: String) = rows.filter(_.variable == name)
+    def sweep(name: String) = fig.rows.filter(_.variable == name)
 
     // generation grows with S_data (linear shape, loose factor bounds)
     val s = sweep("S_data(blocks)")

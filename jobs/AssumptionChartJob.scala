@@ -1,18 +1,10 @@
 package repro.jobs
 
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Reproduces Table 1 behaviourally: which assumptions each system needs,
   * probed by datasets violating exactly one assumption each.
   */
 object AssumptionChartJob {
-  def main(args: Array[String]): Unit = {
-    val (rows, dmCtrl, rbCtrl) = Experiments.assumptionChart()
-    println(s"control dataset (all assumptions hold): DM=${if (dmCtrl) "ok" else "FAIL"} RB=${if (rbCtrl) "ok" else "FAIL"}")
-    println(Tables.render("Table 1: assumption comparison chart (behavioural)",
-      Vector("assumption", "probe", "RecordBreaker", "Datamaran"),
-      rows.map(r => Vector(r.assumption, r.probe,
-        if (r.rbNeedsIt) "Yes" else "No",
-        if (r.dmNeedsIt) "Yes" else "No"))))
-  }
+  def main(args: Array[String]): Unit = println(Experiments.assumptionChart().text)
 }

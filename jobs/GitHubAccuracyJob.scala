@@ -1,7 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, Tables}
-import repro.loggen.{Corpus, Label}
+import repro.exp.Experiments
 
 /** Reproduces the GitHub-corpus accuracy results (paper Fig 17a/17b and the
   * §5.3.2 headline 95.5% vs 29.2%) on the synthetic GitHub-analog corpus.
@@ -9,23 +8,6 @@ import repro.loggen.{Corpus, Label}
   * Usage: GitHubAccuracyJob [nDatasets]
   */
 object GitHubAccuracyJob {
-  def main(args: Array[String]): Unit = {
-    val n = if (args.nonEmpty) args(0).toInt else 100
-    val specs = Corpus.github100.take(n)
-    val dist = specs.groupBy(_.label).map { case (l, xs) => l.show -> xs.length }
-    println(Tables.render("Fig 17a: corpus label distribution",
-      Vector("label", "count"),
-      Label.all.map(l => Vector(l.show, dist.getOrElse(l.show, 0).toString))))
-
-    val outcomes = Experiments.runAccuracy(specs)
-    val cats = Experiments.byCategory(outcomes)
-    println(Tables.render("Fig 17b: extraction accuracy by category",
-      Vector("category", "n", "DM exhaustive", "DM greedy", "RecordBreaker"),
-      cats.map(c => Vector(c.category, c.n.toString,
-        Tables.pct(c.dmExhaustive), Tables.pct(c.dmGreedy), Tables.pct(c.rb)))))
-
-    val failures = outcomes.filter(o => o.label != Label.NS && !o.dmExhaustive)
-    println(s"\nDM-exhaustive failures (${failures.length}):")
-    failures.foreach(f => println(s"  ${f.id} [${f.label.show}]: ${f.dmExhReasons.headOption.getOrElse("")}"))
-  }
+  def main(args: Array[String]): Unit =
+    println(Experiments.gitHubAccuracy(if (args.nonEmpty) args(0).toInt else 100).text)
 }

@@ -1,26 +1,10 @@
 package repro.jobs
 
-import repro.exp.{Experiments, Tables}
-import repro.loggen.Corpus
+import repro.exp.Experiments
 
 /** Reproduces §5.2 on the 25 manual-dataset analogs (Table 5 shape +
   * §5.2.1 accuracy + Fig 14b structural-complexity column).
   */
 object ManualDatasetsJob {
-  def main(args: Array[String]): Unit = {
-    val outcomes = Experiments.runAccuracy(Corpus.manual25, withComplexity = true)
-    println(Tables.render(
-      "Table 5 + §5.2.1: manual datasets (analogs), characteristics and extraction",
-      Vector("dataset", "label", "size(MB)", "#types", "cx(>=10%)", "DM-exh", "DM-greedy", "RB",
-        "searchMs", "extractMs"),
-      outcomes.map(o => Vector(
-        o.id, o.label.show, f"${o.sizeChars / 1e6}%.2f", o.dmTypesFound.toString,
-        o.structuralComplexity.toString,
-        if (o.dmExhaustive) "ok" else "FAIL",
-        if (o.dmGreedy) "ok" else "FAIL",
-        if (o.rb) "ok" else "FAIL",
-        o.searchMsExh.toString, o.extractMsExh.toString))))
-    val okE = outcomes.count(_.dmExhaustive)
-    println(s"\nDM exhaustive: $okE/${outcomes.length} successful (paper: 25/25)")
-  }
+  def main(args: Array[String]): Unit = println(Experiments.manualDatasets().text)
 }

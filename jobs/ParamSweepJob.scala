@@ -1,7 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, Tables}
-import repro.loggen.Corpus
+import repro.exp.Experiments
 
 /** Reproduces Fig 15 (runtime vs parameters) and Fig 16 (fraction of
   * datasets where the optimal — best-MDL — structure is found) on a subset
@@ -10,12 +9,6 @@ import repro.loggen.Corpus
   * Usage: ParamSweepJob [nDatasets]
   */
 object ParamSweepJob {
-  def main(args: Array[String]): Unit = {
-    val n = if (args.nonEmpty) args(0).toInt else 12
-    val specs = Corpus.manual25.filter(_.nBlocks <= 3000).take(n)
-    val rows = Experiments.paramSweep(specs)
-    println(Tables.render("Fig 15 + Fig 16: parameter sensitivity",
-      Vector("param", "value", "avg search ms", "optimal found"),
-      rows.map(r => Vector(r.param, r.value, f"${r.avgSearchMs}%.0f", Tables.pct(r.optimalFoundPct)))))
-  }
+  def main(args: Array[String]): Unit =
+    println(Experiments.paramSensitivity(if (args.nonEmpty) args(0).toInt else 12).text)
 }

@@ -1,17 +1,10 @@
 package repro.jobs
 
-import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments
 
 /** Reproduces Table 3: empirical step timings under sweeps of the variable
   * that governs each step's complexity bound.
   */
 object StepComplexityJob {
-  def main(args: Array[String]): Unit = {
-    val rows = Experiments.stepComplexity()
-    println(Tables.render("Table 3: per-step timing vs governing variable",
-      Vector("variable", "value", "generation", "pruning", "evaluation", "extraction", "K"),
-      rows.map(r => Vector(r.variable, r.value, Tables.ms(r.generationMs),
-        Tables.ms(r.pruningMs), Tables.ms(r.evaluationMs), Tables.ms(r.extractionMs),
-        r.candidatesK.toString))))
-  }
+  def main(args: Array[String]): Unit = println(Experiments.stepComplexity().text)
 }

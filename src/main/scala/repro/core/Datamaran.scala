@@ -22,7 +22,6 @@ final case class StepTimings(
   def evaluationMs: Long = evaluationNs / StepTimings.NsPerMs
   def extractionMs: Long = extractionNs / StepTimings.NsPerMs
   def searchMs: Long = (generationNs + pruningNs + evaluationNs) / StepTimings.NsPerMs
-  def totalMs: Long = (generationNs + pruningNs + evaluationNs + extractionNs) / StepTimings.NsPerMs
 }
 object StepTimings {
   val zero: StepTimings = StepTimings(0, 0, 0, 0)
@@ -121,12 +120,8 @@ object Datamaran {
                 !acceptedCanon.contains(t.canonical) =>
             accepted += InferredType(t, score, sc.recordChars.toDouble / sampleTotalChars)
             acceptedCanon += t.canonical
-            // residual: the sample minus lines covered by this type
-            val covered = Array.fill(residual.length)(false)
-            for (r <- sc.records; i <- r.start until (r.start + r.span)) covered(i) = true
-            residual = residual.indices.collect {
-              case i if !covered(i) => residual(i)
-            }.toIndexedSeq
+            // residual: the lines of the sample this type's scan left as noise
+            residual = sc.noiseLines.map(residual)
             if (residual.isEmpty) done = true
           case _ =>
             done = true

@@ -15,22 +15,25 @@ import scala.collection.mutable
 final case class TemplateStat(
     template: Template,
     coverage: Long,
-    nonFieldCoverage: Long,
-    count: Long
+    nonFieldCoverage: Long
 ) {
   /** Assimilation score G(T,S) = Cov × Non_Field_Cov (paper §4.2). */
   def assimilation: Double = coverage.toDouble * nonFieldCoverage.toDouble
 }
 
-/** Parameters of the structure search (paper Table 2 + §9.1). */
+/** Parameters of the structure search (paper Table 2 + §9.1). The defaults
+  * are §5's alpha=10%, L=10, M=50. The sample bounds are reduced from the
+  * paper's multi-MB chunks so that the 125-dataset benches run within
+  * minutes; 73 of the 125 corpus datasets fit the evaluation bound whole.
+  */
 final case class DmParams(
     alpha: Double = 0.10,          // minimum coverage threshold (fraction)
     maxSpan: Int = 10,             // L: maximum lines per record
     topM: Int = 50,                // M: templates kept after pruning
     exhaustive: Boolean = true,    // exhaustive vs greedy RT-CharSet search
     maxExhaustiveChars: Int = 7,   // cap on c for the 2^c enumeration
-    sampleMaxChars: Int = 400_000, // S_data bound for evaluation (§9.1)
-    genSampleMaxChars: Int = 120_000 // S_data bound for generation (§9.1)
+    sampleMaxChars: Int = 60_000,  // S_data bound for evaluation (§9.1)
+    genSampleMaxChars: Int = 24_000 // S_data bound for generation (§9.1)
 )
 
 object Generation {
@@ -201,12 +204,12 @@ object Generation {
     val out = Vector.newBuilder[TemplateStat]
     var node = 0
     while (node < trie.size) {
-      if (trie.count(node) > 0) {
+      if (trie.sumCov(node) > 0) {
         val cov = trie.uniqueCoverage(node)
         if (cov >= thresh) {
           val nfFrac = trie.sumNf(node).toDouble / trie.sumCov(node)
           val canon = trie.path(node).map(t.encoding).mkString
-          out += TemplateStat(Template.decode(canon), cov, math.round(cov * nfFrac), trie.count(node))
+          out += TemplateStat(Template.decode(canon), cov, math.round(cov * nfFrac))
         }
       }
       node += 1
@@ -222,7 +225,7 @@ object Generation {
     var size = 0
     var parent = new Array[Int](64)
     var lineId = new Array[Int](64)
-    var count = new Array[Int](64)
+    // a bin's candidate characters; 0 exactly while it is empty, as each holds a '\n'
     var sumCov = new Array[Long](64)
     var sumNf = new Array[Long](64)
     // unique coverage: closed line intervals summed in cov, the open one in runStart/runEnd
@@ -244,7 +247,7 @@ object Generation {
       }
       val k = size
       slots(h) = k
-      parent(k) = node; lineId(k) = id; count(k) = 0
+      parent(k) = node; lineId(k) = id
       sumCov(k) = 0; sumNf(k) = 0; cov(k) = 0
       size += 1
       k
@@ -255,13 +258,12 @@ object Generation {
       * so each one extends the open interval or closes it and opens the next.
       */
     def add(node: Int, chars: Long, literal: Long, start: Int, end: Int): Unit = {
-      if (count(node) == 0) runStart(node) = start
+      if (sumCov(node) == 0) runStart(node) = start
       else if (start > runEnd(node)) {
         cov(node) += pref(runEnd(node)) - pref(runStart(node))
         runStart(node) = start
       }
       runEnd(node) = end
-      count(node) += 1
       sumCov(node) += chars
       sumNf(node) += literal
     }
@@ -284,7 +286,6 @@ object Generation {
       val cap = 2 * parent.length
       parent = java.util.Arrays.copyOf(parent, cap)
       lineId = java.util.Arrays.copyOf(lineId, cap)
-      count = java.util.Arrays.copyOf(count, cap)
       sumCov = java.util.Arrays.copyOf(sumCov, cap)
       sumNf = java.util.Arrays.copyOf(sumNf, cap)
       cov = java.util.Arrays.copyOf(cov, cap)

@@ -29,8 +29,6 @@ final case class ArraySeg(path: String, text: String, elems: Vector[Vector[Seg]]
 
 /** A record parsed against a template. */
 final case class Parsed(segs: Vector[Seg]) extends Serializable {
-  def text: String = segs.iterator.map(_.text).mkString
-
   /** Repetition count of each array instance, keyed by array path, in
     * template order (one entry per instance; nested arrays contribute too).
     */
@@ -82,16 +80,6 @@ final case class Parsed(segs: Vector[Seg]) extends Serializable {
   * parse fixes its span.
   */
 object Matcher {
-
-  /** Parse `text`, which must end with '\n', as one whole record of `t`. */
-  def parse(t: Template, text: String): Option[Parsed] =
-    if (text.isEmpty || text.last != '\n') None
-    else {
-      val lines = text.substring(0, text.length - 1).split("\n", -1).toIndexedSeq
-      smallestSpanAt(t, lines, 0, lines.length).collect {
-        case (span, parsed) if span == lines.length => parsed
-      }
-    }
 
   /** The line span s at which lines[start .. start+s) parse as one record of
     * `t`, with that parse; unique when it exists (see above), so also the

@@ -34,20 +34,14 @@ object Mdl {
     def coverage: Double = if (totalChars == 0) 0.0 else recordChars.toDouble / totalChars
   }
 
-  /** Indices of top-level line groups of `t` that are a bare `F\n`. */
-  def bareLineOffsets(t: Template): Set[Int] =
-    Template.lineGroups(t.items) match {
-      case Some(segments) =>
-        segments.zipWithIndex.collect {
-          case (Vector(TField, TChar('\n')), i) => i
-        }.toSet
-      case None => Set.empty
-    }
-
   def scan(t: Template, lines: IndexedSeq[String], maxSpan: Int): ParseScan = {
     val records = Datamaran.extract(lines, Vector(t), maxSpan)
     val noise = Vector.newBuilder[Int]
-    val bare = if (t.fixedLineSpan) bareLineOffsets(t) else Set.empty[Int]
+    // a fixed-span template has exactly one line per top-level line group:
+    // the offsets within a record of its bare `F\n` lines
+    val bare =
+      if (!t.fixedLineSpan) Vector.empty[Int]
+      else t.lineGroups.indices.filter(i => t.lineGroups(i) == Vector(TField, TChar('\n')))
     def lineChars(i: Int): Long = lines(i).length + 1L
     var recordChars = 0L
     var bareChars = 0L
@@ -55,7 +49,6 @@ object Mdl {
     for (r <- records) {
       while (next < r.start) { noise += next; next += 1 }
       while (next < r.start + r.span) { recordChars += lineChars(next); next += 1 }
-      // a fixed-span template has exactly one line per top-level line group
       for (off <- bare) bareChars += lineChars(r.start + off)
     }
     while (next < lines.length) { noise += next; next += 1 }

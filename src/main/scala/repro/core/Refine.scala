@@ -22,10 +22,8 @@ object Refine {
       t: Template,
       observedCounts: Map[String, Set[Int]]
   ): Vector[Template] = {
-    val out = Vector.newBuilder[Template]
-
-    def rewriteAt(items: Vector[TElem], prefix: String): Vector[(Vector[TElem], String)] = {
-      val res = Vector.newBuilder[(Vector[TElem], String)]
+    def rewriteAt(items: Vector[TElem], prefix: String): Vector[Vector[TElem]] = {
+      val res = Vector.newBuilder[Vector[TElem]]
       var arrIdx = 0
       items.zipWithIndex.foreach {
         case (TArray(body, x, y), i) =>
@@ -38,23 +36,22 @@ object Refine {
             val flat = Vector.tabulate(k) { j =>
               if (j < k - 1) body :+ TChar(x) else body :+ TChar(y)
             }.flatten
-            res += ((items.patch(i, flat, 1), apath))
+            res += items.patch(i, flat, 1)
           }
           // partial unfold (needs at least 2 elements everywhere to stay valid)
           if (counts.nonEmpty && counts.min >= 2) {
             val peeled = (body :+ TChar(x)) ++ Vector(TArray(body, x, y))
-            res += ((items.patch(i, peeled, 1), apath))
+            res += items.patch(i, peeled, 1)
           }
           // recurse into the body
-          for ((newBody, p) <- rewriteAt(body, s"$apath."))
-            res += ((items.updated(i, TArray(newBody, x, y)), p))
+          for (newBody <- rewriteAt(body, s"$apath."))
+            res += items.updated(i, TArray(newBody, x, y))
         case _ => ()
       }
       res.result()
     }
 
-    for ((items, _) <- rewriteAt(t.items, "")) out += Template(items)
-    out.result().distinctBy(_.canonical)
+    rewriteAt(t.items, "").map(Template(_)).distinctBy(_.canonical)
   }
 
   /** Observed repetition counts per array path from a parse scan. */
@@ -73,32 +70,25 @@ object Refine {
     * this canonicalization removes the redundancy before evaluation.
     */
   def periodReduce(t: Template): Template = {
-    Template.lineGroups(t.items) match {
-      case Some(segments) if segments.length > 1 =>
-        val n = segments.length
-        var p = 1
-        while (p <= n / 2) {
-          if (n % p == 0 && (p until n).forall(i => segments(i) == segments(i % p)))
-            return Template(segments.take(p).flatten)
-          p += 1
-        }
-        t
-      case _ => t
+    val segments = t.lineGroups
+    val n = segments.length
+    var p = 1
+    while (p <= n / 2) {
+      if (n % p == 0 && (p until n).forall(i => segments(i) == segments(i % p)))
+        return Template(segments.take(p).flatten)
+      p += 1
     }
+    t
   }
 
-  /** Cyclic line shifts of a multi-line template (paper §4.3.2). Only
-    * top-level '\n' literals are cut points; templates whose newlines sit
-    * inside arrays are not shiftable.
+  /** Cyclic line shifts of a multi-line template (paper §4.3.2): the
+    * rotations of its top-level line groups ([[Template.lineGroups]]). A
+    * '\n' inside an array is not a cut point, so a template with one
+    * top-level line group has no shift.
     */
   def cyclicShifts(t: Template): Vector[Template] = {
-    Template.lineGroups(t.items) match {
-      case Some(segments) if segments.length > 1 =>
-        (1 until segments.length).toVector.map { s =>
-          Template((segments.drop(s) ++ segments.take(s)).flatten)
-        }
-      case _ => Vector.empty
-    }
+    val segments = t.lineGroups
+    (1 until segments.length).toVector.map(s => Template((segments.drop(s) ++ segments.take(s)).flatten))
   }
 
   /** Apply the RefineST loop of Algorithm 2: repeatedly take the best

@@ -18,30 +18,13 @@ object Relational {
 
   /** All table schemas of a template, root first, arrays in template order. */
   def schemas(t: Template): Vector[TableSchema] = {
-    val out = Vector.newBuilder[TableSchema]
-    def walk(items: Vector[TElem], prefix: String, path: String): Unit = {
-      var fldIdx = 0
-      var arrIdx = 0
-      val cols = Vector.newBuilder[String]
-      items.foreach {
-        case TField =>
-          cols += s"${prefix}f$fldIdx"; fldIdx += 1
-        case TChar(_) => ()
-        case TArray(_, _, _) => arrIdx += 1
-      }
-      out += TableSchema(path, cols.result())
-      // recurse in order
-      var ai = 0
-      items.foreach {
-        case TArray(body, _, _) =>
-          val apath = s"${prefix}a$ai"
-          walk(body, s"$apath.", apath)
-          ai += 1
-        case _ => ()
-      }
-    }
+    // a node's fields and arrays are numbered in order, as the parse numbers them
+    def walk(items: Vector[TElem], prefix: String, path: String): Vector[TableSchema] =
+      TableSchema(path, Vector.tabulate(items.count(_ == TField))(i => s"${prefix}f$i")) +:
+        items.collect { case TArray(body, _, _) => body }.zipWithIndex.flatMap { case (body, i) =>
+          walk(body, s"${prefix}a$i.", s"${prefix}a$i")
+        }
     walk(t.items, "", "")
-    out.result()
   }
 
   /** Rows of one record: table path -> rows. The root table has one row of

@@ -97,7 +97,8 @@ object SparkExtract {
           if (sch.path.isEmpty) StructField("span", IntegerType, nullable = false)
           else StructField("ord", StringType, nullable = false)
         val schema = StructType(StructField("record_id", LongType, nullable = false) +: key +:
-          sch.cols.map(c => StructField(colName(c), StringType, nullable = false)))
+          // column names: a field path's dots become underscores
+          sch.cols.map(c => StructField(c.replace('.', '_'), StringType, nullable = false)))
         val rdd = rows.filter { case (i, p, _) => i == tid && p == sch.path }.map(_._3)
         ExtractedTable(tid, sch.path, spark.createDataFrame(rdd, schema))
       }
@@ -150,9 +151,6 @@ object SparkExtract {
     }
     exits
   }
-
-  /** Column names for DataFrames: dots in field paths become underscores. */
-  def colName(fieldPath: String): String = fieldPath.replace('.', '_')
 
   /** End-to-end: infer structure on a driver-side sample (the paper's own
     * sampling architecture, §9.1), then extract the full distributed

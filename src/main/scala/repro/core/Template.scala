@@ -72,6 +72,15 @@ final case class Template private (items: Vector[TElem]) extends Serializable {
     case _               => false
   }
 
+  /** The top-level items split after each top-level line-ending item
+    * ([[Template.endsLine]]); the last item ends a line, so the groups hold
+    * every item. A '\n' inside an array body or separator does not split.
+    */
+  lazy val lineGroups: Vector[Vector[TElem]] = {
+    val ends = items.indices.filter(i => Template.endsLine(items(i))).toVector
+    (-1 +: ends).zip(ends).map { case (a, b) => items.slice(a + 1, b + 1) }
+  }
+
   /** Length of the canonical string — the `len(ST)` of the MDL formula. */
   def encodedLength: Int = canonical.length
 
@@ -151,26 +160,5 @@ object Template {
     case TChar('\n')        => true
     case TArray(_, _, '\n') => true
     case _                  => false
-  }
-
-  /** Split a template's items into its top-level line groups (each ending
-    * with a line-ending item), or None when the template does not decompose
-    * into whole lines (e.g. a trailing partial line, or '\n' inside an
-    * array body/separator).
-    */
-  def lineGroups(items: Vector[TElem]): Option[Vector[Vector[TElem]]] = {
-    val out = Vector.newBuilder[Vector[TElem]]
-    val cur = Vector.newBuilder[TElem]
-    var curEmpty = true
-    items.foreach { it =>
-      cur += it
-      curEmpty = false
-      if (endsLine(it)) {
-        out += cur.result()
-        cur.clear()
-        curEmpty = true
-      }
-    }
-    if (!curEmpty) None else Some(out.result())
   }
 }

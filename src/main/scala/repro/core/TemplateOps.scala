@@ -4,9 +4,9 @@ import scala.collection.mutable
 
 /** Steps 3–4 of the generation step (paper §4.1, Figure 10):
   *
-  *  - [[recordTemplate]]: extract the record template from an instantiated
-  *    record given an RT-CharSet (Assumption 2 makes this possible — every
-  *    maximal run of non-formatting characters is one field value).
+  *  - the record template: under an RT-CharSet, every maximal run of
+  *    non-formatting characters is one field (Assumption 2);
+  *    [[LineTemplates.reduceLine]] builds it line by line.
   *  - [[reduce]]: fold the record template into its *minimal structure
   *    template* by repeatedly rewriting `A x A x … A y` (x, y single
   *    characters, x != y) into the array form `({A}x)*{A}y`. Two records of
@@ -27,37 +27,14 @@ object TemplateOps {
     */
   val MaxTemplateItems = 800
 
-  /** Extract the record template of `text` under formatting set `cs`.
-    * '\n' is always formatting. Non-empty maximal runs of non-formatting
-    * characters become single `TField`s; empty runs produce nothing (fields
-    * are non-empty by construction, see Matcher).
-    */
-  def recordTemplate(text: String, cs: Set[Char]): Vector[TElem] = {
-    val out = Vector.newBuilder[TElem]
-    var inField = false
-    var i = 0
-    while (i < text.length) {
-      val ch = text.charAt(i)
-      if (ch == '\n' || cs.contains(ch)) {
-        out += TChar(ch); inField = false
-      } else if (!inField) {
-        out += TField; inField = true
-      }
-      i += 1
-    }
-    out.result()
-  }
-
-  /** One leftmost-shortest array fold, or None if no fold applies.
+  /** The leftmost-shortest array fold starting at or after `from`, applied
+    * in place; returns the fold start position, or -1 if no fold applies.
     *
     * Searches for the pattern `A x A x … A y` with k >= 1 separators, where
     * `A` is a non-empty item sequence, `x`/`y` are literal characters and
     * `x != y`; replaces it with `TArray(A, x, y)`. Scanning order (ascending
     * start position, then ascending body length) makes reduction
     * deterministic, so identical records always reduce identically.
-    */
-  /** Find the leftmost fold starting at or after `from` and apply it in
-    * place; returns the fold start position, or -1.
     */
   private def foldOnceFrom(buf: mutable.ArrayBuffer[TElem], from: Int): Int = {
     val n = buf.length

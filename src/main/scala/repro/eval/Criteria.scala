@@ -30,11 +30,7 @@ object Criteria {
   /** One extracted record in evaluation shape. */
   final case class EvalRecord(typeKey: String, start: Int, end: Int, segs: Vector[Seg])
 
-  final case class Judgement(
-      success: Boolean,
-      reasons: List[String],
-      foundNoStructure: Boolean
-  )
+  final case class Judgement(success: Boolean, reasons: List[String])
 
   /** Adapt a DATAMARAN extraction. */
   def fromDatamaran(records: Vector[RecordInstance]): Vector[EvalRecord] =
@@ -61,9 +57,8 @@ object Criteria {
     * correct behaviour is to report no structure.
     */
   def judge(gt: GtDataset, extracted: Vector[EvalRecord]): Judgement = {
-    val noStructure = extracted.isEmpty
     if (gt.spec.label == Label.NS)
-      return Judgement(noStructure, if (noStructure) Nil else List("structure reported on NS dataset"), noStructure)
+      return Judgement(extracted.isEmpty, if (extracted.isEmpty) Nil else List("structure reported on NS dataset"))
 
     val reasons = List.newBuilder[String]
     var ok = true
@@ -123,7 +118,7 @@ object Criteria {
         }
       }
     }
-    Judgement(ok, reasons.result(), noStructure)
+    Judgement(ok, reasons.result())
   }
 
   private def segKind(s: Seg): String = s match {

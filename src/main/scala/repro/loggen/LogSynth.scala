@@ -23,13 +23,6 @@ final case class Target(name: String, parts: Vector[Part]) extends Part
 /** One record type: a fixed number of lines, each a part sequence. */
 final case class RecordTypeSpec(name: String, lines: Vector[Vector[Part]]) {
   def span: Int = lines.length
-  def targetNames: Vector[String] = {
-    def walk(ps: Vector[Part]): Vector[String] = ps.flatMap {
-      case Target(n, _) => Vector(n)
-      case _            => Vector.empty
-    }
-    lines.flatMap(walk)
-  }
 }
 
 /** Category labels of paper Table 4. */
@@ -104,8 +97,7 @@ final case class GtRecord(
 final case class GtDataset(
     spec: DatasetSpec,
     lines: Vector[String],
-    records: Vector[GtRecord],
-    noiseLineIdxs: Set[Int]
+    records: Vector[GtRecord]
 ) {
   def sizeChars: Long = lines.iterator.map(_.length + 1L).sum
   def text: String = lines.mkString("\n") + (if (lines.nonEmpty) "\n" else "")
@@ -136,7 +128,6 @@ object LogSynth {
     val r = new Random(spec.seed)
     val lines = Vector.newBuilder[String]
     val records = Vector.newBuilder[GtRecord]
-    val noiseIdxs = Set.newBuilder[Int]
     var lineNo = 0
     val totalW = spec.types.map(_._2).sum
 
@@ -153,7 +144,6 @@ object LogSynth {
     while (b < spec.nBlocks) {
       if (spec.types.isEmpty || r.nextDouble() < spec.noise.rate) {
         lines += spec.noise.gen(r)
-        noiseIdxs += lineNo
         lineNo += 1
       } else {
         val t = pickType()
@@ -164,6 +154,6 @@ object LogSynth {
       }
       b += 1
     }
-    GtDataset(spec, lines.result(), records.result(), noiseIdxs.result())
+    GtDataset(spec, lines.result(), records.result())
   }
 }

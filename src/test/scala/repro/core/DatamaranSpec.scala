@@ -3,12 +3,11 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.loggen._
 import repro.eval.Criteria
-import repro.exp.Experiments
 
 /** End-to-end DATAMARAN behaviour on controlled datasets. */
 class DatamaranSpec extends AnyFunSuite {
 
-  private val p = Experiments.defaults(exhaustive = true)
+  private val p = DmParams()
 
   private def gen(spec: DatasetSpec): GtDataset = LogSynth.generate(spec)
 
@@ -146,7 +145,6 @@ class DatamaranSpec extends AnyFunSuite {
     assert(t.generationMs >= 0 && t.pruningMs >= 0 && t.evaluationMs >= 0 && t.extractionMs >= 0)
     // each sum is rounded down to milliseconds once, from nanoseconds
     assert(t.searchMs == (t.generationNs + t.pruningNs + t.evaluationNs) / 1000000L)
-    assert(t.totalMs == (t.generationNs + t.pruningNs + t.evaluationNs + t.extractionNs) / 1000000L)
   }
 
   test("sub-millisecond steps add up before rounding") {

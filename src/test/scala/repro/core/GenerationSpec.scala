@@ -26,8 +26,10 @@ class GenerationSpec extends AnyFunSuite {
     val lines = Vector("a", "b", "c")
     val pp = p.copy(maxSpan = 2, alpha = 0.0)
     val stats = Generation.genST(index(lines, pp, 0), 0, pp)
-    // spans: (0,1),(0,2),(1,1),(1,2),(2,1) => 5 candidates, all binned
-    assert(stats.map(_.count).sum == 5)
+    // spans: (0,1),(0,2),(1,1),(1,2),(2,1) => 5 candidates; each bin covers
+    // all 6 characters only if every one of its candidates was binned
+    assert(stats.map(s => (s.template.pretty, s.coverage)).sorted ==
+      Vector(("F\\n", 6L), ("F\\nF\\n", 6L)))
   }
 
   test("line index prefix sums count the newline") {
@@ -37,13 +39,12 @@ class GenerationSpec extends AnyFunSuite {
   }
 
   test("line ids are keyed by reduced encoding, not by line shape") {
-    // different shapes, one minimal template (F )*F\n: one bin for both lines
+    // different shapes, one minimal template (F )*F\n: one bin covers both lines
     val lines = Vector("a b", "a b c")
     val pp = p.copy(maxSpan = 1)
     val idx = index(lines, pp, 1)
     val stats = Generation.genST(idx, mask(idx, ' '), pp)
     assert(stats.map(_.template.pretty) == Vector("(F )*F\\n"))
-    assert(stats.head.count == 2)
     assert(stats.head.coverage == idx.totalChars)
   }
 
@@ -99,7 +100,7 @@ class GenerationSpec extends AnyFunSuite {
       for (cs <- 0 until 1 << idx.enumChars.length) {
         val chars = idx.enumChars.indices.collect { case b if (cs & (1 << b)) != 0 => idx.enumChars(b) }.toSet
         val got = Generation.genST(idx, cs, pp)
-          .map(s => (s.template.canonical, s.coverage, s.nonFieldCoverage, s.count)).sorted
+          .map(s => (s.template.canonical, s.coverage, s.nonFieldCoverage)).sorted
         assert(got == bruteForceGenST(lines, chars, pp), s"lines=$lines charset=$chars")
       }
     }
@@ -123,7 +124,7 @@ class GenerationSpec extends AnyFunSuite {
       val sumCov = cands.map { case (s, e, _) => lineChars.slice(s, e).sum }.sum
       val sumNf = cands.map(_._3.toLong).sum
       if (cov >= pp.alpha * total)
-        Some((canon, cov, math.round(cov * (sumNf.toDouble / sumCov)), cands.length.toLong))
+        Some((canon, cov, math.round(cov * (sumNf.toDouble / sumCov))))
       else None
     }.sorted
   }
@@ -150,15 +151,15 @@ class GenerationSpec extends AnyFunSuite {
 
   test("dedupe keeps the maximum-coverage instance per canonical") {
     val t = Template(Vector(TField, TChar('\n')))
-    val s1 = TemplateStat(t, 10, 5, 1)
-    val s2 = TemplateStat(t, 30, 5, 2)
+    val s1 = TemplateStat(t, 10, 5)
+    val s2 = TemplateStat(t, 30, 5)
     assert(Generation.dedupe(Vector(s1, s2)) == Vector(s2))
   }
 
   test("prune keeps top M by assimilation, shorter template on ties") {
     val tShort = Template(Vector(TField, TChar('\n')))
     val tLong = Template(Vector(TField, TChar(','), TField, TChar(','), TField, TChar('\n')))
-    val stats = Vector(TemplateStat(tLong, 100, 10, 1), TemplateStat(tShort, 100, 10, 1))
+    val stats = Vector(TemplateStat(tLong, 100, 10), TemplateStat(tShort, 100, 10))
     val top1 = Generation.prune(stats, p.copy(topM = 1))
     assert(top1.head.template == tShort)
   }
@@ -187,13 +188,13 @@ class GenerationSpec extends AnyFunSuite {
 
   test("assimilation score is Cov * NonFieldCov") {
     val t = Template(Vector(TField, TChar('\n')))
-    assert(TemplateStat(t, 100, 25, 1).assimilation == 2500.0)
+    assert(TemplateStat(t, 100, 25).assimilation == 2500.0)
   }
 
   test("multi-line record template survives generation") {
     val lines = (0 until 50).flatMap(i => Vector(s"BEGIN $i", s"  v=${i * 2}", "END")).toVector
     val stats = Generation.exhaustiveSearch(lines, p)
-    val multi = stats.filter(s => Template.lineGroups(s.template.items).map(_.length).contains(3))
+    val multi = stats.filter(_.template.lineGroups.length == 3)
     assert(multi.nonEmpty, stats.map(_.template.pretty).take(10).mkString("; "))
   }
 }

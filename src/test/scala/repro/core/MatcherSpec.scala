@@ -13,53 +13,53 @@ class MatcherSpec extends AnyFunSuite {
   private val csv = Template(Vector(TArray(Vector(F), ',', '\n')))
 
   test("csv array template matches any column count >= 1") {
-    assert(Matcher.parse(csv, "a\n").isDefined)
-    assert(Matcher.parse(csv, "a,b\n").isDefined)
-    assert(Matcher.parse(csv, "a,b,c,d\n").isDefined)
+    assert(ParseRecord(csv, "a\n").isDefined)
+    assert(ParseRecord(csv, "a,b\n").isDefined)
+    assert(ParseRecord(csv, "a,b,c,d\n").isDefined)
   }
 
   test("csv array template extracts elements in order") {
-    val p = Matcher.parse(csv, "x,y,z\n").get
+    val p = ParseRecord(csv, "x,y,z\n").get
     val arr = p.segs.collectFirst { case a: ArraySeg => a }.get
     assert(arr.elems.map(_.collectFirst { case f: FieldSeg => f.text }.get) == Vector("x", "y", "z"))
     assert(arr.text == "x,y,z")
   }
 
   test("array terminator is emitted as a following literal segment") {
-    val p = Matcher.parse(csv, "x,y\n").get
+    val p = ParseRecord(csv, "x,y\n").get
     assert(p.segs.last == LitSeg("\n"))
   }
 
   test("quoted csv template matches records with and without inner commas") {
     val t = Template(Vector(F, c(','), c('"'), TArray(Vector(F), ',', '"'), c(','), F, c('\n')))
-    assert(Matcher.parse(t, "1,\"a\",x\n").isDefined)
-    assert(Matcher.parse(t, "1,\"a,b,c\",x\n").isDefined)
-    assert(Matcher.parse(t, "1,a,x\n").isEmpty)
+    assert(ParseRecord(t, "1,\"a\",x\n").isDefined)
+    assert(ParseRecord(t, "1,\"a,b,c\",x\n").isDefined)
+    assert(ParseRecord(t, "1,a,x\n").isEmpty)
   }
 
   test("fields must be non-empty") {
     val t = Template(Vector(F, c(','), F, c('\n')))
-    assert(Matcher.parse(t, "a,\n").isEmpty)
-    assert(Matcher.parse(t, ",b\n").isEmpty)
+    assert(ParseRecord(t, "a,\n").isEmpty)
+    assert(ParseRecord(t, ",b\n").isEmpty)
   }
 
   test("fields stop at any template charset character") {
     val t = Template(Vector(F, c(':'), F, c('\n')))
     // ':' inside the would-be first field must fail (it is a template char)
-    assert(Matcher.parse(t, "a:b:c\n").isEmpty)
+    assert(ParseRecord(t, "a:b:c\n").isEmpty)
     // '.' is not in this template's charset, so it stays in the field
-    assert(Matcher.parse(t, "a.b:c\n").isDefined)
+    assert(ParseRecord(t, "a.b:c\n").isDefined)
   }
 
   test("whole input must be consumed") {
     val t = Template(Vector(F, c('\n')))
-    assert(Matcher.parse(t, "ab\ncd\n").isEmpty)
+    assert(ParseRecord(t, "ab\ncd\n").isEmpty)
   }
 
   test("multi-line struct template parses joined lines") {
     val t = Template(Vector(c('{'), c('\n'), F, c(':'), F, c('\n'), c('}'), c('\n')))
-    assert(Matcher.parse(t, "{\na:b\n}\n").isDefined)
-    assert(Matcher.parse(t, "{\na:b\nc\n").isEmpty)
+    assert(ParseRecord(t, "{\na:b\n}\n").isDefined)
+    assert(ParseRecord(t, "{\na:b\nc\n").isEmpty)
   }
 
   test("nested arrays parse and flatten") {
@@ -67,7 +67,7 @@ class MatcherSpec extends AnyFunSuite {
     val inner = TArray(Vector(F), '.', ',')
     // note: inner terminator is the outer separator; model as struct instead:
     val t = Template(Vector(TArray(Vector(TArray(Vector(F), '.', ';')), ',', '\n')))
-    val p = Matcher.parse(t, "1.2;,3.4.5;\n")
+    val p = ParseRecord(t, "1.2;,3.4.5;\n")
     assert(p.isDefined)
     val outer = p.get.segs.collectFirst { case a: ArraySeg => a }.get
     assert(outer.elems.length == 2)
@@ -75,25 +75,25 @@ class MatcherSpec extends AnyFunSuite {
 
   test("field paths are stable and hierarchical") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F, c(':'), F), ',', '\n')))
-    val p = Matcher.parse(t, "h a:1,b:2\n").get
+    val p = ParseRecord(t, "h a:1,b:2\n").get
     val paths = ParsedFields(p).map(_._1)
     assert(paths == Vector("f0", "a0.f0", "a0.f1", "a0.f0", "a0.f1"))
   }
 
   test("arrayCounts reports instance repetition") {
     val t = Template(Vector(TArray(Vector(F), ',', '\n')))
-    assert(Matcher.parse(t, "a,b,c\n").get.arrayCounts == Vector(("a0", 3)))
+    assert(ParseRecord(t, "a,b,c\n").get.arrayCounts == Vector(("a0", 3)))
   }
 
   test("parsed text reassembles the record") {
     val t = Template(Vector(F, c(','), c('"'), TArray(Vector(F), ',', '"'), c(','), F, c('\n')))
     val rec = "1,\"a,b\",x\n"
-    assert(Matcher.parse(t, rec).get.text == rec)
+    assert(ParseRecord.text(ParseRecord(t, rec).get) == rec)
   }
 
   /** The span's parse must be the parse of the joined span text. */
   private def spanParse(t: Template, lines: Vector[String], start: Int, span: Int) =
-    (span, Matcher.parse(t, lines.slice(start, start + span).map(_ + "\n").mkString).get)
+    (span, ParseRecord(t, lines.slice(start, start + span).map(_ + "\n").mkString).get)
 
   test("smallestSpanAt: fixed-span template") {
     val t = Template(Vector(F, c(':'), F, c('\n'), c('}'), c('\n')))
@@ -151,7 +151,7 @@ class MatcherSpec extends AnyFunSuite {
       val t = Template(items)
       // skip ambiguous cases where a value contains a template charset char
       if (!vals.exists(v => v.exists(t.charset))) {
-        val p = Matcher.parse(t, text)
+        val p = ParseRecord(t, text)
         assert(p.isDefined, s"${t.pretty} should match ${text.trim}")
         assert(ParsedFields(p.get).map(_._2) == vals)
         checked += 1
@@ -300,7 +300,7 @@ class MatcherSpec extends AnyFunSuite {
       }
       if (maxSpan == L) for (s <- 1 to math.min(L, lines.length - start)) {
         val text = joined(lines, start, s)
-        assert(Matcher.parse(t, text) == refParse(t, text), s"${t.pretty} on $text")
+        assert(ParseRecord(t, text) == refParse(t, text), s"${t.pretty} on $text")
       }
     }
     assert(matches > 1000 && variableSpan > 100 && multiLineArrays > 100,

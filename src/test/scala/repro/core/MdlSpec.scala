@@ -135,8 +135,8 @@ class MdlSpec extends AnyFunSuite {
   }
 
   test("columnTypes pools array elements per column") {
-    val p1 = Matcher.parse(csv, "1,2,3\n").get
-    val p2 = Matcher.parse(csv, "4,5\n").get
+    val p1 = ParseRecord(csv, "1,2,3\n").get
+    val p2 = ParseRecord(csv, "4,5\n").get
     val types = Mdl.columnTypes(Seq(p1, p2))
     assert(types.keySet == Set("a0.f0"))
     assert(types("a0.f0").isInstanceOf[Mdl.IntType])

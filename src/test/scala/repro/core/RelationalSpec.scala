@@ -28,13 +28,13 @@ class RelationalSpec extends AnyFunSuite {
 
   test("toRows: root row carries struct fields in order") {
     val t = Template(Vector(F, c(','), F, c('\n')))
-    val p = Matcher.parse(t, "x,y\n").get
+    val p = ParseRecord(t, "x,y\n").get
     assert(Relational.toRows(p) == Vector(Relational.TableRow("", "", Vector("x", "y"))))
   }
 
   test("toRows: array elements become child rows with ordinal") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F, c(':'), F), ',', '\n')))
-    val p = Matcher.parse(t, "h a:1,b:2\n").get
+    val p = ParseRecord(t, "h a:1,b:2\n").get
     val rows = Relational.toRows(p)
     assert(rows.head == Relational.TableRow("", "", Vector("h")))
     assert(rows.tail == Vector(
@@ -45,7 +45,7 @@ class RelationalSpec extends AnyFunSuite {
 
   test("toRows: nested array ordinals are dotted paths") {
     val t = Template(Vector(TArray(Vector(TArray(Vector(F), '.', ';')), ',', '\n')))
-    val p = Matcher.parse(t, "1.2;,3;\n").get
+    val p = ParseRecord(t, "1.2;,3;\n").get
     val rows = Relational.toRows(p)
     val nested = rows.filter(_.path == "a0.a0")
     assert(nested.map(_.ord) == Vector("0.0", "0.1", "1.0"))
@@ -54,7 +54,7 @@ class RelationalSpec extends AnyFunSuite {
 
   test("row values align with schema columns for every table") {
     val t = Template(Vector(F, c('|'), TArray(Vector(F), ',', '|'), F, c('\n')))
-    val p = Matcher.parse(t, "a|1,2,3|z\n").get
+    val p = ParseRecord(t, "a|1,2,3|z\n").get
     val schemaByPath = Relational.schemas(t).map(s => s.path -> s.cols).toMap
     for (row <- Relational.toRows(p)) {
       assert(row.values.length == schemaByPath(row.path).length,

@@ -9,8 +9,21 @@ import repro.PropHelpers.samples
   */
 class TemplateOpsSpec extends AnyFunSuite {
 
-  private def rt(text: String, cs: String): Vector[TElem] =
-    TemplateOps.recordTemplate(text, cs.toSet)
+  /** The record template of `text` under formatting set `cs` (step 3):
+    * '\n' is always formatting; each maximal run of other characters is
+    * one field, and empty runs produce nothing.
+    */
+  private def recordTemplate(text: String, cs: Set[Char]): Vector[TElem] = {
+    val out = Vector.newBuilder[TElem]
+    var inField = false
+    for (ch <- text) {
+      if (ch == '\n' || cs.contains(ch)) { out += TChar(ch); inField = false }
+      else if (!inField) { out += TField; inField = true }
+    }
+    out.result()
+  }
+
+  private def rt(text: String, cs: String): Vector[TElem] = recordTemplate(text, cs.toSet)
 
   private def mt(text: String, cs: String): String =
     TemplateOps.minimalTemplate(text, cs.toSet).get.pretty
@@ -115,7 +128,7 @@ class TemplateOpsSpec extends AnyFunSuite {
 
   test("reduce is idempotent") {
     for (text <- Vector("1,2,3\n", "a b c d\n", "[1:2] x.y\n", "k=v k=v\n")) {
-      val items = TemplateOps.recordTemplate(text, ",:=[]. ".toSet)
+      val items = recordTemplate(text, ",:=[]. ".toSet)
       val r1 = TemplateOps.reduce(items)
       assert(TemplateOps.reduce(r1) == r1)
     }
@@ -151,13 +164,13 @@ class TemplateOpsSpec extends AnyFunSuite {
     // the reduced template must still match the very record it came from
     for ((_, line) <- samples(genCsvLine, 100, seed = 3)) {
       val t = TemplateOps.minimalTemplate(line, Set(',')).get
-      assert(Matcher.parse(t, line).isDefined, s"template ${t.pretty} must match $line")
+      assert(ParseRecord(t, line).isDefined, s"template ${t.pretty} must match $line")
     }
   }
 
   test("property: reduce output contains no foldable residue") {
     for ((_, line) <- samples(genCsvLine, 60, seed = 9)) {
-      val items = TemplateOps.recordTemplate(line, Set(','))
+      val items = recordTemplate(line, Set(','))
       val reduced = TemplateOps.reduce(items)
       assert(TemplateOps.reduce(reduced) == reduced)
     }

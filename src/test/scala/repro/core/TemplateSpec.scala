@@ -44,20 +44,20 @@ class TemplateSpec extends AnyFunSuite {
 
   test("lineGroups counts top-level lines") {
     val t = Template(Vector(F, c('\n'), F, c('\n')))
-    assert(Template.lineGroups(t.items).map(_.length).contains(2))
+    assert(t.lineGroups.length == 2)
     assert(t.fixedLineSpan)
   }
 
   test("array terminated by newline contributes one minimum line") {
     val t = Template(Vector(TArray(Vector(F), ',', '\n')))
-    assert(Template.lineGroups(t.items).map(_.length).contains(1))
+    assert(t.lineGroups.length == 1)
     assert(t.fixedLineSpan)
   }
 
   test("newline as array separator makes the span variable") {
     val t = Template(Vector(TArray(Vector(F), '\n', '!'), c('\n')))
     assert(!t.fixedLineSpan)
-    assert(Template.lineGroups(t.items).map(_.length).contains(1))
+    assert(t.lineGroups.length == 1)
   }
 
   test("TArray rejects sep == term") {

@@ -150,7 +150,7 @@ class CriteriaSpec extends AnyFunSuite {
       Criteria.EvalRecord("t0", rec.start, rec.end,
         Vector(fs("f0", gt.lines(rec.start)), lit("\n")))
     }
-    val noiseIdx = gt.noiseLineIdxs.head
+    val noiseIdx = gt.lines.indices.find(i => !gt.records.exists(r => r.start <= i && i <= r.end)).get
     val withSpurious = good :+ Criteria.EvalRecord("t0", noiseIdx, noiseIdx,
       Vector(fs("f0", gt.lines(noiseIdx)), lit("\n")))
     // note: even `good` fails (b) because the blob field merges targets,
@@ -164,7 +164,7 @@ class CriteriaSpec extends AnyFunSuite {
     val r = new scala.util.Random(5)
     val gt = LogSynth.generate(DatasetSpec("ok", Label.SNI,
       Vector(Corpus.kvType(r) -> 1.0), 300, NoiseSpec.none, 6))
-    val j = dmJudge(gt, repro.exp.Experiments.defaults(true))
+    val j = dmJudge(gt, DmParams())
     assert(j.success, j.reasons)
   }
 

@@ -1,13 +1,14 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.DmParams
 import repro.loggen._
 
 /** Experiment-runner plumbing (cheap parts; full runs live in bench/). */
 class ExperimentsSpec extends AnyFunSuite {
 
   private def outcome(label: Label, e: Boolean, g: Boolean, r: Boolean) =
-    Experiments.DatasetOutcome("x", label, e, g, r, 1, 1000, 1, 1, -1, Nil, Nil)
+    Experiments.DatasetOutcome("x", label, e, g, r, 1, 1000, 1, 1, -1, Nil)
 
   test("byCategory excludes NS and appends the overall row") {
     val outcomes = Vector(
@@ -25,10 +26,11 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("defaults use the paper's alpha, L, M") {
-    val p = Experiments.defaults(true)
+    val p = DmParams()
     assert(p.alpha == 0.10 && p.maxSpan == 10 && p.topM == 50)
     assert(p.exhaustive)
-    assert(!Experiments.defaults(false).exhaustive)
+    // the measured sample bounds of the benches and EXPERIMENTS.md
+    assert(p.sampleMaxChars == 60000 && p.genSampleMaxChars == 24000)
   }
 
   test("optimalTemplate is matched by inference with a large M") {
@@ -40,7 +42,7 @@ class ExperimentsSpec extends AnyFunSuite {
     // M=50 may legitimately miss the optimum (that gap IS Fig 16's metric);
     // with a large M the pools coincide and inference must return it
     val inf = repro.core.Datamaran.infer(
-      gt.lines, Experiments.defaults(true).copy(topM = 100000))
+      gt.lines, DmParams().copy(topM = 100000))
     assert(inf.types.head.template.canonical == ref.get,
       s"inferred=${inf.types.head.template.pretty} " +
         s"reference=${repro.core.Template.decode(ref.get).pretty}")
@@ -51,7 +53,7 @@ class ExperimentsSpec extends AnyFunSuite {
     val gt = LogSynth.generate(spec)
     // either no candidate at all, or none beating the noise baseline is
     // irrelevant here: the reference only requires >= alpha coverage
-    val inf = repro.core.Datamaran.infer(gt.lines, Experiments.defaults(true))
+    val inf = repro.core.Datamaran.infer(gt.lines, DmParams())
     assert(inf.types.isEmpty)
   }
 
@@ -66,10 +68,9 @@ class ExperimentsSpec extends AnyFunSuite {
     val spec = DatasetSpec("j", Label.SNI,
       Vector(Corpus.pipeType(new scala.util.Random(2)) -> 1.0), 150, NoiseSpec.none, 5)
     val gt = LogSynth.generate(spec)
-    val (jd, inf, t) = Experiments.judgeDatamaran(gt, Experiments.defaults(true))
+    val (jd, inf) = Experiments.judgeDatamaran(gt, DmParams())
     assert(jd.success, jd.reasons)
     assert(inf.types.length == 1)
-    assert(t.totalMs >= 0)
     assert(Experiments.judgeRecordBreaker(gt).success)
   }
 }

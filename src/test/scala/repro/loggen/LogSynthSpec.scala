@@ -26,10 +26,10 @@ class LogSynthSpec extends AnyFunSuite {
 
   test("record spans partition the non-noise lines") {
     val gt = LogSynth.generate(spec)
-    val recordLines = gt.records.flatMap(r => r.start to r.end).toSet
-    val all = gt.lines.indices.toSet
-    assert(recordLines.intersect(gt.noiseLineIdxs).isEmpty)
-    assert(recordLines.union(gt.noiseLineIdxs) == all)
+    // records are disjoint, in order, and every other block is one noise line
+    assert(gt.records.zip(gt.records.drop(1)).forall { case (a, b) => a.end < b.start })
+    val recordLines = gt.records.map(r => r.end - r.start + 1).sum
+    assert(gt.lines.length == recordLines + (spec.nBlocks - gt.records.length))
   }
 
   test("targets are substrings of their record text") {
@@ -50,8 +50,7 @@ class LogSynthSpec extends AnyFunSuite {
 
   test("noise rate is approximately honored") {
     val gt = LogSynth.generate(spec.copy(nBlocks = 4000))
-    val frac = gt.noiseLineIdxs.size.toDouble /
-      (gt.noiseLineIdxs.size + gt.records.length)
+    val frac = (gt.spec.nBlocks - gt.records.length).toDouble / gt.spec.nBlocks
     assert(math.abs(frac - 0.1) < 0.03, s"noise fraction $frac")
   }
 
@@ -65,7 +64,8 @@ class LogSynthSpec extends AnyFunSuite {
     val t = Corpus.jsonType(new scala.util.Random(3), 1)
     val (lines, targets) = LogSynth.renderRecord(t, new scala.util.Random(7))
     assert(lines.length == t.span)
-    assert(targets.map(_._1) == t.targetNames)
+    val targetNames = t.lines.flatten.collect { case Target(n, _) => n }
+    assert(targets.map(_._1) == targetNames)
   }
 
   test("messy noise varies structurally") {
