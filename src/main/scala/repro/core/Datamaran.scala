@@ -82,10 +82,9 @@ object Datamaran {
       iter += 1
       // ---- Generation ----
       // generation runs on a (possibly smaller) chunk subsample of the
-      // evaluation sample — the paper's S_data bound applies to both steps
+      // evaluation sample
       val (stats, genNs) = timed {
-        val genLines = Generation.sampleLines(
-          residual, p.copy(sampleMaxChars = math.min(p.genSampleMaxChars, p.sampleMaxChars)))
+        val genLines = Generation.generationSample(residual, p)
         if (p.exhaustive) Generation.exhaustiveSearch(genLines, p)
         else Generation.greedySearch(genLines, p)
       }
@@ -171,12 +170,15 @@ object Datamaran {
     * single template) and each partition of [[SparkExtract.extract]] run it.
     * Entered at line `from`, it scans left to right; at each line the
     * templates are tried in priority order (the first iteration's type
-    * first), each by the one LL(1) parse that fixes its span; unmatched
-    * lines are noise.
+    * first), each by the one LL(1) parse that fixes its span
+    * ([[ParseProgram.parse]]: the template form is LL(1) and '\n' is always
+    * a formatting character, so a record starting at a line has at most one
+    * parse); unmatched lines are noise.
     * It places records only at lines before `until` (a record may run past
     * it) and ends at the first line at or past `until` that it reaches, or
-    * earlier at the first line where `stop` holds. Records stream one at a
-    * time; once the cover is exhausted, `exit` is the line where it ended.
+    * earlier at the first line where `stop` holds. [[advance]] places one
+    * record at a time and leaves its parse in [[parse]]; once the cover is
+    * exhausted, `exit` is the line where it ended.
     */
   final class Cover(
       lines: IndexedSeq[String],
@@ -185,26 +187,42 @@ object Datamaran {
       from: Int,
       until: Int,
       stop: Int => Boolean
-  ) extends Iterator[RecordInstance] {
+  ) {
+    private val programs = templates.map(_.program).toArray
     private var i = from
-    private var pending: RecordInstance = null
 
-    def hasNext: Boolean = {
-      while (pending == null && i < until && !stop(i)) {
-        pending = matchAt(lines, i, templates, maxSpan).orNull
-        i += (if (pending == null) 1 else pending.span)
+    /** The parse of the last placed record. */
+    val parse = new ParseBuffer
+    /** Template index, first line and line span of the last placed record. */
+    var typeIdx: Int = -1
+    var start: Int = -1
+    var span: Int = 0
+
+    /** Place the next record; false once the cover is exhausted. */
+    def advance(): Boolean = {
+      while (i < until && !stop(i)) {
+        var tid = 0
+        while (tid < programs.length) {
+          val s = programs(tid).parse(lines, i, maxSpan, parse)
+          if (s > 0) {
+            typeIdx = tid; start = i; span = s
+            i += s
+            return true
+          }
+          tid += 1
+        }
+        i += 1
       }
-      pending != null
-    }
-
-    def next(): RecordInstance = {
-      if (!hasNext) throw new NoSuchElementException("cover exhausted")
-      val r = pending
-      pending = null
-      r
+      false
     }
 
     def exit: Int = i
+
+    /** The remaining records with their segment trees. */
+    def records: Iterator[RecordInstance] =
+      Iterator.continually(advance()).takeWhile(identity).map { _ =>
+        RecordInstance(typeIdx, start, span, programs(typeIdx).parsed(lines, parse))
+      }
   }
 
   /** The greedy cover of all of `lines`. */
@@ -213,29 +231,7 @@ object Datamaran {
       templates: Vector[Template],
       maxSpan: Int
   ): Vector[RecordInstance] =
-    new Cover(lines, templates, maxSpan, 0, lines.length, _ => false).toVector
-
-  /** Shared match rule: the first template (in priority order) that matches
-    * at `start`, with its span and parse. The template form is LL(1) and '\n'
-    * is always a formatting character, so a record starting at a line has at
-    * most one parse, found by one pass ([[Matcher.smallestSpanAt]]).
-    */
-  def matchAt(
-      lines: IndexedSeq[String],
-      start: Int,
-      templates: Vector[Template],
-      maxSpan: Int
-  ): Option[RecordInstance] = {
-    var tid = 0
-    while (tid < templates.length) {
-      Matcher.smallestSpanAt(templates(tid), lines, start, maxSpan) match {
-        case Some((span, parsed)) => return Some(RecordInstance(tid, start, span, parsed))
-        case None                 => ()
-      }
-      tid += 1
-    }
-    None
-  }
+    new Cover(lines, templates, maxSpan, 0, lines.length, _ => false).records.toVector
 
   /** Convenience: full pipeline on in-memory lines, timing extraction too. */
   def run(lines: IndexedSeq[String], p: DmParams = DmParams()): (Inference, Vector[RecordInstance]) = {

@@ -71,6 +71,13 @@ object Generation {
     out.result()
   }
 
+  /** The generation step's subsample of `lines`: [[sampleLines]] under the
+    * generation bound, or the evaluation bound where that is tighter (the
+    * paper's S_data bound applies to both steps, §9.1).
+    */
+  def generationSample(lines: IndexedSeq[String], p: DmParams): IndexedSeq[String] =
+    sampleLines(lines, p.copy(sampleMaxChars = math.min(p.genSampleMaxChars, p.sampleMaxChars)))
+
   /** Longest candidate record text (characters, '\n' included) considered. */
   private val MaxCandidateChars = 8192
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The default regularity score F(T,S): minimum description length
@@ -17,11 +18,16 @@ import scala.collection.mutable
   */
 object Mdl {
 
+  /** A record of a scan: first line and line span. */
+  final case class RecordSpan(start: Int, span: Int)
+
   /** One scan of `lines` with a template: the greedy record cover of
-    * [[Datamaran.extract]] with that template alone, plus its accounting.
+    * [[Datamaran.extract]] with that template alone, its accounting, and its
+    * records folded into one summary per column and per array (indexed by
+    * the ids of [[ParseProgram]]).
     */
   final case class ParseScan(
-      records: Vector[RecordInstance],
+      records: Vector[RecordSpan],
       noiseLines: Vector[Int],
       recordChars: Long,
       /** record chars excluding completely unconstrained template lines
@@ -29,13 +35,17 @@ object Mdl {
         * so only the anchored part counts toward Assumption 1.
         */
       anchoredChars: Long,
-      totalChars: Long
+      totalChars: Long,
+      columns: IndexedSeq[ColumnSummary],
+      arrays: IndexedSeq[ArraySummary]
   ) {
     def coverage: Double = if (totalChars == 0) 0.0 else recordChars.toDouble / totalChars
   }
 
   def scan(t: Template, lines: IndexedSeq[String], maxSpan: Int): ParseScan = {
-    val records = Datamaran.extract(lines, Vector(t), maxSpan)
+    val columns = Array.fill(t.program.columns.length)(new ColumnSummary)
+    val arrays = t.program.arrays.map(new ArraySummary(_)).toArray
+    val records = Vector.newBuilder[RecordSpan]
     val noise = Vector.newBuilder[Int]
     // a fixed-span template has exactly one line per top-level line group:
     // the offsets within a record of its bare `F\n` lines
@@ -46,14 +56,23 @@ object Mdl {
     var recordChars = 0L
     var bareChars = 0L
     var next = 0 // first line after the previous record
-    for (r <- records) {
-      while (next < r.start) { noise += next; next += 1 }
-      while (next < r.start + r.span) { recordChars += lineChars(next); next += 1 }
-      for (off <- bare) bareChars += lineChars(r.start + off)
+    val cover = new Datamaran.Cover(lines, Vector(t), maxSpan, 0, lines.length, _ => false)
+    val p = cover.parse
+    while (cover.advance()) {
+      val start = cover.start
+      records += RecordSpan(start, cover.span)
+      while (next < start) { noise += next; next += 1 }
+      while (next < start + cover.span) { recordChars += lineChars(next); next += 1 }
+      for (off <- bare) bareChars += lineChars(start + off)
+      var k = 0
+      while (k < p.fieldCount) { columns(p.column(k)).add(lines(p.line(k)), p.from(k), p.to(k)); k += 1 }
+      k = 0
+      while (k < p.arrayCount) { arrays(p.arrayId(k)).add(p.repetitions(k)); k += 1 }
     }
     while (next < lines.length) { noise += next; next += 1 }
     val total = lines.iterator.map(_.length + 1L).sum
-    ParseScan(records, noise.result(), recordChars, recordChars - bareChars, total)
+    ParseScan(records.result(), noise.result(), recordChars, recordChars - bareChars, total,
+      ArraySeq.unsafeWrapArray(columns), ArraySeq.unsafeWrapArray(arrays))
   }
 
   /** Field value type with its per-value description cost in bits.
@@ -89,97 +108,126 @@ object Mdl {
 
   private def log2(x: Double): Double = math.log(x) / math.log(2.0)
 
-  private val IntRe  = "-?\\d{1,18}".r
-  private val RealRe = "-?\\d{1,12}\\.\\d{1,9}".r
+  /** Most distinct values an enum column may have. */
+  private val MaxEnumValues = 256
 
-  /** Infer the cheapest applicable type for a column of values, as the
-    * paper's "determined by analyzing the field values in the group".
-    * Enum applies when the distinct count is small relative to the column;
-    * among applicable types the one with the lowest total cost wins.
+  /** A column's values folded in one pass: all the paper's typing (§9.2,
+    * "determined by analyzing the field values in the group") and the
+    * column's description length need. Integers are `-?\d{1,18}` and
+    * reals `-?\d{1,12}\.\d{1,9}`, over ASCII digits.
     */
-  def inferType(values: Iterable[String]): FieldType = {
-    var n = 0L
-    var totalLen = 0L
-    val distinct = mutable.HashSet.empty[String]
-    var allInt = true
-    var allReal = true
-    var minI = Long.MaxValue; var maxI = Long.MinValue
-    var minR = Double.MaxValue; var maxR = Double.MinValue; var maxExp = 0
-    for (v <- values) {
+  final class ColumnSummary {
+    private var n = 0L
+    private var totalLen = 0L
+    private val distinct = mutable.HashSet.empty[String] // at most MaxEnumValues + 1
+    private var allInt = true
+    private var minI = Long.MaxValue
+    private var maxI = Long.MinValue
+    private var allReal = true
+    private var minR = Double.MaxValue
+    private var maxR = Double.MinValue
+    private var maxExp = 0
+
+    /** Fold in the value s[from, to). */
+    def add(s: String, from: Int, to: Int): Unit = {
       n += 1
-      totalLen += v.length
-      if (distinct.size <= 256) distinct += v
+      totalLen += to - from
+      var v: String = null // the value's substring, made at most once
+      if (distinct.size <= MaxEnumValues) { v = s.substring(from, to); distinct += v }
+      if (allInt || allReal) {
+        val neg = from < to && s.charAt(from) == '-'
+        val i0 = if (neg) from + 1 else from
+        val i1 = digitsEnd(s, i0, to) // the integer digits are s[i0, i1)
+        if (allInt) {
+          if (i1 == to && i1 > i0 && i1 - i0 <= 18) {
+            val x = if (neg) -digits(s, i0, i1) else digits(s, i0, i1)
+            if (x < minI) minI = x
+            if (x > maxI) maxI = x
+          } else allInt = false
+        }
+        if (allReal) {
+          val f1 = if (i1 < to && s.charAt(i1) == '.') digitsEnd(s, i1 + 1, to) else -1
+          val fracDigits = f1 - i1 - 1 // the fraction digits are s[i1 + 1, f1)
+          if (f1 == to && i1 > i0 && i1 - i0 <= 12 && fracDigits >= 1 && fracDigits <= 9) {
+            val x = (if (v == null) s.substring(from, to) else v).toDouble
+            if (x < minR) minR = x
+            if (x > maxR) maxR = x
+            if (fracDigits > maxExp) maxExp = fracDigits
+          } else allReal = false
+        }
+      }
+    }
+
+    /** The cheapest applicable type, with the column's total bits under it
+      * (its overhead plus every value's bits). Enum applies when the
+      * distinct count is small relative to the column; ties keep the
+      * earlier of string, enum, integer, real.
+      */
+    def choice: (FieldType, Double) = {
+      if (n == 0) return (StrType, 0.0)
+      val candidates = mutable.ArrayBuffer.empty[(FieldType, Double)]
+      candidates += ((StrType, (totalLen + n) * 8.0))
+      val enumOk = distinct.size <= MaxEnumValues && distinct.size <= math.max(2, n / 4)
+      if (enumOk) {
+        val dictBits = distinct.iterator.map(v => (v.length + 1) * 8.0).sum
+        val t = EnumType(distinct.size, dictBits)
+        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
+      }
       if (allInt) {
-        if (IntRe.matches(v)) {
-          val x = v.toLong
-          if (x < minI) minI = x
-          if (x > maxI) maxI = x
-        } else allInt = false
+        val t = IntType(minI, maxI)
+        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
       }
       if (allReal) {
-        if (RealRe.matches(v)) {
-          val x = v.toDouble
-          if (x < minR) minR = x
-          if (x > maxR) maxR = x
-          maxExp = math.max(maxExp, v.length - v.indexOf('.') - 1)
-        } else allReal = false
+        val t = RealType(minR, maxR, maxExp)
+        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
       }
+      candidates.minBy(_._2)
     }
-    if (n == 0) return StrType
-    val candidates = mutable.ArrayBuffer.empty[(FieldType, Double)]
-    val strCost = (totalLen + n) * 8.0
-    candidates += ((StrType, strCost))
-    val enumOk = distinct.size <= 256 && distinct.size <= math.max(2, n / 4)
-    if (enumOk) {
-      val dictBits = distinct.iterator.map(v => (v.length + 1) * 8.0).sum
-      val t = EnumType(distinct.size, dictBits)
-      candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-    }
-    if (allInt) {
-      val t = IntType(minI, maxI)
-      candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-    }
-    if (allReal) {
-      val t = RealType(minR, maxR, maxExp)
-      candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-    }
-    candidates.minBy(_._2)._1
   }
 
-  /** Per-column inferred types over a set of parsed records. */
-  def columnTypes(records: Iterable[Parsed]): Map[String, FieldType] = {
-    val cols = mutable.HashMap.empty[String, mutable.ArrayBuffer[String]]
-    records.foreach(_.visit(
-      f => cols.getOrElseUpdate(f.path, mutable.ArrayBuffer.empty) += f.text,
-      (_, _) => ()
-    ))
-    cols.iterator.map { case (p, vs) => p -> inferType(vs) }.toMap
+  private def isDigit(c: Char): Boolean = c >= '0' && c <= '9'
+
+  private def digitsEnd(s: String, from: Int, to: Int): Int = {
+    var i = from
+    while (i < to && isDigit(s.charAt(i))) i += 1
+    i
   }
 
-  /** Description length of a scanned dataset under template `t`. */
-  def score(t: Template, sc: ParseScan, lines: IndexedSeq[String]): Double = {
-    val types = columnTypes(sc.records.map(_.parsed))
-    // bits to encode an array repetition count: from the observed maximum
-    val maxRep = mutable.HashMap.empty[String, Int]
-    for (r <- sc.records)
-      r.parsed.visit(_ => (), (p, k) => maxRep.update(p, math.max(maxRep.getOrElse(p, 1), k)))
-    val repBits = maxRep.map { case (p, mx) =>
-      p -> math.max(1.0, math.ceil(log2(mx + 1.0)))
+  /** The value of the ASCII digits s[from, to), at most 18 of them. */
+  private def digits(s: String, from: Int, to: Int): Long = {
+    var x = 0L
+    var i = from
+    while (i < to) { x = x * 10 + (s.charAt(i) - '0'); i += 1 }
+    x
+  }
+
+  /** An array's instances folded in one pass: their count, the largest
+    * repetition and every repetition count observed.
+    */
+  final class ArraySummary(val path: String) {
+    var instances = 0L
+    private var maxRep = 1
+    val counts = mutable.BitSet.empty
+
+    def add(k: Int): Unit = {
+      instances += 1
+      if (k > maxRep) maxRep = k
+      counts += k
     }
 
+    /** Bits of every instance's repetition count, sized from the maximum. */
+    def bits: Double = instances * math.max(1.0, math.ceil(log2(maxRep + 1.0)))
+  }
+
+  /** Description length of a scanned dataset under template `t`. Every term
+    * is a whole number far below 2^53, so the sum is exact in any order.
+    */
+  def score(t: Template, sc: ParseScan): Double = {
     var total = t.encodedLength * 8.0 + 32.0
     total += (sc.records.length + sc.noiseLines.length).toDouble // block flags
-    total += types.valuesIterator.map(_.overheadBits).sum
-    for (r <- sc.records) {
-      var acc = 0.0
-      r.parsed.visit(
-        f => acc += types(f.path).bitsPer(f.text),
-        (p, _) => acc += repBits.getOrElse(p, 1.0)
-      )
-      total += acc
-    }
-    for (i <- sc.noiseLines) total += (lines(i).length + 1) * 8.0
-    total
+    for (c <- sc.columns) total += c.choice._2
+    for (a <- sc.arrays) total += a.bits
+    total + (sc.totalChars - sc.recordChars) * 8.0 // noise lines
   }
 
   /** The all-noise baseline: description length when nothing is a record.

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Structure refinement (paper §4.3): array unfolding and structure
   * shifting, applied to the top-M templates during the evaluation step.
   * Each revision is kept only when it improves the regularity score.
@@ -55,12 +53,8 @@ object Refine {
   }
 
   /** Observed repetition counts per array path from a parse scan. */
-  def observedCounts(sc: Mdl.ParseScan): Map[String, Set[Int]] = {
-    val m = mutable.HashMap.empty[String, mutable.Set[Int]]
-    for (r <- sc.records; (p, k) <- r.parsed.arrayCounts)
-      m.getOrElseUpdate(p, mutable.Set.empty) += k
-    m.iterator.map { case (k, v) => k -> v.toSet }.toMap
-  }
+  def observedCounts(sc: Mdl.ParseScan): Map[String, Set[Int]] =
+    sc.arrays.iterator.filter(_.instances > 0).map(a => a.path -> a.counts.toSet).toMap
 
   /** Collapse a template that is k >= 2 exact copies of the same top-level
     * line-group sequence into a single copy. The boundary enumeration
@@ -104,7 +98,7 @@ object Refine {
   ): (Template, Mdl.ParseScan, Double) = {
     var t = periodReduce(t0)
     var sc = Mdl.scan(t, lines, maxSpan)
-    var score = Mdl.score(t, sc, lines)
+    var score = Mdl.score(t, sc)
     // templates below the acceptance coverage can never win, and templates
     // scoring far above the best candidate seen so far cannot recover
     // through unfolding (unfolds only sharpen field typing) — skip the
@@ -120,7 +114,7 @@ object Refine {
       for (c <- cands) {
         val csc = Mdl.scan(c, lines, maxSpan)
         if (csc.records.nonEmpty) {
-          val cs = Mdl.score(c, csc, lines)
+          val cs = Mdl.score(c, csc)
           if (cs < score && best.forall(_._3 > cs)) best = Some((c, csc, cs))
         }
       }
@@ -137,7 +131,7 @@ object Refine {
       for (s <- shifts) {
         val ssc = Mdl.scan(s, lines, maxSpan)
         if (ssc.records.nonEmpty) {
-          val sscore = Mdl.score(s, ssc, lines)
+          val sscore = Mdl.score(s, ssc)
           val first = ssc.records.head.start
           if (sscore <= bestScore * 1.02 && first < bestFirst) {
             bestT = s; bestSc = ssc; bestScore = sscore; bestFirst = first

@@ -67,7 +67,9 @@ object SparkExtract {
 
     val exits: Array[Array[Int]] = lines.mapPartitionsWithIndex { (pid, it) =>
       val ts = bcTemplates.value.map(Template.decode)
-      Iterator.single(exitTable(window(it, pid, bcHeads.value, maxSpan), counts(pid), ts, maxSpan))
+      // partition 0 is entered at 0 only
+      val entered = if (pid == 0) 1 else maxSpan
+      Iterator.single(exitTable(window(it, pid, bcHeads.value, maxSpan), counts(pid), ts, maxSpan, entered))
     }.collect()
 
     val entries = new Array[Int](exits.length)
@@ -78,7 +80,7 @@ object SparkExtract {
       val ts = bcTemplates.value.map(Template.decode)
       val base = offsets(pid)
       new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), ts, maxSpan,
-        entries(pid), counts(pid), _ => false).flatMap { r =>
+        entries(pid), counts(pid), _ => false).records.flatMap { r =>
         val start = base + r.start
         Relational.toRows(r.parsed).iterator.map { tr =>
           // NB: Vector(start, span) would harmonize the Int span to
@@ -130,21 +132,23 @@ object SparkExtract {
 
   /** For each entry offset e < maxSpan, the window line where the cover
     * entered at e leaves the partition's `n` lines (at or past `n`; e itself
-    * when e >= n, since such an entry skips the partition).
+    * when e >= n, since such an entry skips the partition). Only the
+    * offsets below `entered` are computed; the others keep e.
     */
-  private def exitTable(window: IndexedSeq[String], n: Int, ts: Vector[Template], maxSpan: Int): Array[Int] = {
+  private def exitTable(window: IndexedSeq[String], n: Int, ts: Vector[Template], maxSpan: Int,
+      entered: Int): Array[Int] = {
     val exits = Array.tabulate(maxSpan)(identity)
     if (n > 0) {
       // the lines the e = 0 cover visits: all but the inner lines of its records
       val visited = new java.util.BitSet(n)
       visited.set(0, n)
       val first = new Datamaran.Cover(window, ts, maxSpan, 0, n, _ => false)
-      first.foreach(r => visited.clear(r.start + 1, math.min(r.start + r.span, n)))
+      while (first.advance()) visited.clear(first.start + 1, math.min(first.start + first.span, n))
       exits(0) = first.exit
       var e = 1
-      while (e < math.min(n, maxSpan)) {
+      while (e < math.min(n, entered)) {
         val c = new Datamaran.Cover(window, ts, maxSpan, e, n, i => visited.get(i))
-        c.foreach(_ => ())
+        while (c.advance()) ()
         exits(e) = if (c.exit < n) exits(0) else c.exit
         e += 1
       }

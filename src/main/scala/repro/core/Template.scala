@@ -32,16 +32,17 @@ final case class TArray(body: Vector[TElem], sep: Char, term: Char) extends TEle
 
 /** A complete structure template: the top-level Struct's element sequence.
   *
-  * Invariant (checked by [[Template.apply]]): the template ends with '\n' —
+  * Invariants (checked by [[Template.apply]]): the template ends with '\n' —
   * either a literal `TChar('\n')` or an array terminated by '\n' — because
-  * instantiated records always end at a line boundary (Definition 2.4).
+  * instantiated records always end at a line boundary (Definition 2.4); and
+  * its formatting characters are ASCII.
   */
 final case class Template private (items: Vector[TElem]) extends Serializable {
 
   /** Literal formatting characters of this template (its effective
     * RT-CharSet). Field values matched by this template never contain any
     * of these characters — that is Assumption 2 operationalized, and it is
-    * what the LL(1) field scanner stops on.
+    * what the LL(1) field scanner stops on ([[ParseProgram]]).
     */
   lazy val charset: Set[Char] = {
     def walk(es: Vector[TElem], acc: Set[Char]): Set[Char] =
@@ -52,6 +53,9 @@ final case class Template private (items: Vector[TElem]) extends Serializable {
       }
     walk(items, Set('\n'))
   }
+
+  /** This template compiled for parsing, once per instance. */
+  @transient lazy val program: ParseProgram = ParseProgram(this)
 
   /** Unambiguous canonical encoding — the hash key used by the generation
     * step's hash-table. Control characters .. cannot occur in
@@ -96,7 +100,17 @@ object Template {
   def apply(items: Vector[TElem]): Template = {
     require(items.nonEmpty, "empty template")
     require(endsLine(items.last), s"template must end a line: ${pretty(items)}")
+    require(ascii(items), s"formatting characters must be ASCII: ${pretty(items)}")
     new Template(items)
+  }
+
+  /** True iff every literal, separator and terminator is ASCII, as every
+    * RT-CharSet candidate is; the parse program's 128-bit mask relies on it.
+    */
+  private def ascii(items: Vector[TElem]): Boolean = items.forall {
+    case TChar(c)        => c < 128
+    case TArray(b, x, y) => x < 128 && y < 128 && ascii(b)
+    case TField          => true
   }
 
   private[core] def encode(items: Vector[TElem]): String = {

@@ -176,7 +176,18 @@ object Experiments {
     * locally and on Spark.
     */
   def runtimeVsSize(maxMB: Double, spark: org.apache.spark.sql.SparkSession): Figure[Vector[SizeTiming]] = {
-    val rows = Vector(1.0, 2.0, 4.0, 8.0, 16.0).filter(_ <= maxMB).map { mb =>
+    val sizes = Vector(1.0, 2.0, 4.0, 8.0, 16.0).filter(_ <= maxMB)
+    def sparkExtractMs(lines: IndexedSeq[String], ts: Vector[Template], maxSpan: Int): Long = {
+      val rdd = spark.sparkContext.parallelize(lines, 16)
+      val t0 = System.nanoTime()
+      val ex = SparkExtract.extract(spark, rdd, ts, maxSpan)
+      ex.records.count() // force
+      ex.tables.foreach(_.df.count())
+      val ms = (System.nanoTime() - t0) / 1000000L
+      ex.release()
+      ms
+    }
+    val rows = sizes.map { mb =>
       val r = new scala.util.Random(7)
       val t = Corpus.multiType(r, 3, "sz")
       val approxBlock = 130.0 // chars per record, roughly
@@ -187,22 +198,22 @@ object Experiments {
       val pE = DmParams(exhaustive = true)
       val infG = Datamaran.infer(gt.lines, DmParams(exhaustive = false))
       val infE = Datamaran.infer(gt.lines, pE)
+      val ts = infE.types.map(_.template)
       // the short search leaves the JVM cold: one untimed pass and a full
-      // collection, so neither JIT compilation nor search garbage is timed
-      Datamaran.extract(gt.lines, infE.types.map(_.template), pE.maxSpan)
+      // collection, so neither JIT compilation nor search garbage is timed;
+      // local extraction then takes the fastest of three runs
+      Datamaran.extract(gt.lines, ts, pE.maxSpan)
       System.gc()
-      val t0 = System.nanoTime()
-      val recs = Datamaran.extract(gt.lines, infE.types.map(_.template), pE.maxSpan)
-      val localMs = (System.nanoTime() - t0) / 1000000L
-      require(recs.nonEmpty, s"no records extracted at size $mb MB")
-      val rdd = spark.sparkContext.parallelize(gt.lines, 16)
-      val t1 = System.nanoTime()
-      val ex = SparkExtract.extract(spark, rdd, infE.types.map(_.template), pE.maxSpan)
-      ex.records.count() // force
-      ex.tables.foreach(_.df.count())
-      val sparkMs = (System.nanoTime() - t1) / 1000000L
-      ex.release()
-      SizeTiming(mb, infG.timings.searchMs, infE.timings.searchMs, localMs, sparkMs)
+      val localMs = Vector.fill(3) {
+        val t0 = System.nanoTime()
+        val recs = Datamaran.extract(gt.lines, ts, pE.maxSpan)
+        require(recs.nonEmpty, s"no records extracted at size $mb MB")
+        (System.nanoTime() - t0) / 1000000L
+      }.min
+      // an untimed first extraction, so Spark's start-up jobs are not charged to the first size
+      if (mb == sizes.head) sparkExtractMs(gt.lines, ts, pE.maxSpan)
+      SizeTiming(mb, infG.timings.searchMs, infE.timings.searchMs, localMs,
+        sparkExtractMs(gt.lines, ts, pE.maxSpan))
     }
     Figure(rows, Tables.render(
       "Fig 14a: running time vs size (paper: avg 17s greedy / 37s exhaustive on <50MB; extraction dominates large)",
@@ -227,8 +238,7 @@ object Experiments {
   def optimalTemplate(gt: GtDataset, alpha: Double, maxSpan: Int): Option[String] = {
     val p = DmParams(alpha = alpha, maxSpan = maxSpan, topM = Int.MaxValue)
     val sample = Generation.sampleLines(gt.lines, p)
-    val genSample = Generation.sampleLines(
-      gt.lines, p.copy(sampleMaxChars = math.min(p.genSampleMaxChars, p.sampleMaxChars)))
+    val genSample = Generation.generationSample(gt.lines, p)
     val stats = Generation.dedupe(
       Generation.exhaustiveSearch(genSample, p)
         .map(s => s.copy(template = Refine.periodReduce(s.template))))

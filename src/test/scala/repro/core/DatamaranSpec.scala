@@ -128,11 +128,13 @@ class DatamaranSpec extends AnyFunSuite {
     assert(recs.map(_.typeIdx) == Vector(0, 1))
   }
 
-  test("matchAt returns the first template in priority order") {
+  test("the cover places the first template in priority order") {
     val t1 = Template(Vector(TField, TChar(','), TField, TChar('\n')))
     val t2 = Template(Vector(TArray(Vector(TField), ',', '\n')))
-    def typeAndSpan(line: String) =
-      Datamaran.matchAt(Vector(line), 0, Vector(t1, t2), 10).map(r => (r.typeIdx, r.span))
+    def typeAndSpan(line: String) = {
+      val c = new Datamaran.Cover(Vector(line), Vector(t1, t2), 10, 0, 1, _ => false)
+      Option.when(c.advance())((c.typeIdx, c.span))
+    }
     assert(typeAndSpan("x,y").contains((0, 1)))
     assert(typeAndSpan("x,y,z").contains((1, 1)))
   }

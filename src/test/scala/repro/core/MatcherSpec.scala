@@ -91,6 +91,24 @@ class MatcherSpec extends AnyFunSuite {
     assert(ParseRecord.text(ParseRecord(t, rec).get) == rec)
   }
 
+  test("no non-ASCII character stops a field") {
+    // ',' and '|' sit in the two halves of the 128-bit formatting mask
+    val t = Template(Vector(F, c(','), F, c('|'), F, c('\n')))
+    for (ch <- '\u0080' to '\uffff') {
+      val fields = ParseRecord(t, s"a${ch}b,$ch|$ch$ch\n").map(ParsedFields(_).map(_._2))
+      assert(fields.contains(Vector(s"a${ch}b", s"$ch", s"$ch$ch")), f"U+${ch.toInt}%04X")
+    }
+  }
+
+  test("a record of many fields and nested arrays parses whole") {
+    val t = Template(Vector(TArray(Vector(TArray(Vector(F), '.', ';')), ',', '\n')))
+    val rec = Vector.tabulate(60)(i => Vector.tabulate(i % 7 + 1)(j => s"v$i$j").mkString(".") + ";")
+      .mkString(",") + "\n"
+    val p = ParseRecord(t, rec).get
+    assert(ParseRecord.text(p) == rec)
+    assert(p.arrayCounts.length == 61 && ParsedFields(p).length == (0 until 60).map(_ % 7 + 1).sum)
+  }
+
   /** The span's parse must be the parse of the joined span text. */
   private def spanParse(t: Template, lines: Vector[String], start: Int, span: Int) =
     (span, ParseRecord(t, lines.slice(start, start + span).map(_ + "\n").mkString).get)

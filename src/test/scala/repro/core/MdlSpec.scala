@@ -1,6 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.Gen
+import repro.PropHelpers.samples
+import scala.collection.mutable
 
 /** MDL regularity score: scanning, field typing, description lengths. */
 class MdlSpec extends AnyFunSuite {
@@ -41,25 +44,32 @@ class MdlSpec extends AnyFunSuite {
 
   // ---- type inference
 
+  /** The type `Mdl.scan` chooses for a column of these values. */
+  private def inferType(values: Iterable[String]): Mdl.FieldType = {
+    val c = new Mdl.ColumnSummary
+    values.foreach(v => c.add(v, 0, v.length))
+    c.choice._1
+  }
+
   test("inferType: integer column") {
-    val t = Mdl.inferType(Seq("1", "42", "999"))
+    val t = inferType(Seq("1", "42", "999"))
     assert(t.isInstanceOf[Mdl.IntType])
   }
 
   test("inferType: integer bit width from range") {
-    val t = Mdl.inferType(Seq("0", "255")).asInstanceOf[Mdl.IntType]
+    val t = inferType(Seq("0", "255")).asInstanceOf[Mdl.IntType]
     assert(t.bitsPer("0") == 8.0)
   }
 
   test("inferType: real column") {
     val vals = (0 until 50).map(i => f"${i * 1.37}%.2f")
-    val t = Mdl.inferType(vals)
+    val t = inferType(vals)
     assert(t.isInstanceOf[Mdl.RealType])
   }
 
   test("inferType: small-vocabulary column becomes enum") {
     val vals = Vector.fill(100)("INFO") ++ Vector.fill(100)("WARN")
-    val t = Mdl.inferType(vals)
+    val t = inferType(vals)
     assert(t.isInstanceOf[Mdl.EnumType])
     assert(t.bitsPer("INFO") == 1.0)
   }
@@ -67,18 +77,18 @@ class MdlSpec extends AnyFunSuite {
   test("inferType: open-vocabulary strings stay strings") {
     val r = new scala.util.Random(1)
     val vals = (0 until 300).map(_ => r.alphanumeric.take(8).mkString)
-    assert(Mdl.inferType(vals) == Mdl.StrType)
+    assert(inferType(vals) == Mdl.StrType)
   }
 
   test("inferType: enum dictionary cost is charged") {
     val vals = Vector.fill(4)("abcdefgh") ++ Vector.fill(4)("ijklmnop")
     // with only 8 values, dictionary (2*9*8=144 bits) + 8 bits > string cost? no:
     // string cost = 8*9*8 = 576; enum = 144 + 8 = 152 -> enum still wins
-    assert(Mdl.inferType(vals).isInstanceOf[Mdl.EnumType])
+    assert(inferType(vals).isInstanceOf[Mdl.EnumType])
   }
 
   test("inferType: empty column is a string") {
-    assert(Mdl.inferType(Nil) == Mdl.StrType)
+    assert(inferType(Nil) == Mdl.StrType)
   }
 
   test("string cost counts terminator") {
@@ -90,7 +100,7 @@ class MdlSpec extends AnyFunSuite {
   test("structured csv scores far below the noise baseline") {
     val lines = (0 until 200).map(i => s"$i,${i % 5},${i * 7}").toVector
     val sc = Mdl.scan(csv, lines, 10)
-    val score = Mdl.score(csv, sc, lines)
+    val score = Mdl.score(csv, sc)
     assert(score < 0.6 * Mdl.noiseBaseline(lines), s"score=$score")
   }
 
@@ -100,7 +110,7 @@ class MdlSpec extends AnyFunSuite {
     val fOnly = Template(Vector(F, c('\n')))
     val sc = Mdl.scan(fOnly, lines, 10)
     assert(sc.records.length == 200)
-    assert(Mdl.score(fOnly, sc, lines) > Mdl.noiseBaseline(lines))
+    assert(Mdl.score(fOnly, sc) > Mdl.noiseBaseline(lines))
   }
 
   test("word-salad array template does not beat the noise baseline") {
@@ -109,13 +119,13 @@ class MdlSpec extends AnyFunSuite {
     val lines = (0 until 200).map(_ => (0 until 2 + r.nextInt(6)).map(_ => w()).mkString(" ")).toVector
     val t = Template(Vector(TArray(Vector(F), ' ', '\n')))
     val sc = Mdl.scan(t, lines, 10)
-    assert(Mdl.score(t, sc, lines) > Mdl.noiseBaseline(lines))
+    assert(Mdl.score(t, sc) > Mdl.noiseBaseline(lines))
   }
 
   test("unparsed lines are charged as noise") {
     val lines = Vector("1,2", "x" * 50)
     val sc = Mdl.scan(csv, lines, 10)
-    val score = Mdl.score(csv, sc, lines)
+    val score = Mdl.score(csv, sc)
     assert(score > 51 * 8.0) // at least the noise line's cost
   }
 
@@ -126,7 +136,7 @@ class MdlSpec extends AnyFunSuite {
     val fine = Template(Vector(F, c(':'), F, c(','), F, c('\n')))
     val scC = Mdl.scan(coarse, lines, 10)
     val scF = Mdl.scan(fine, lines, 10)
-    assert(Mdl.score(fine, scF, lines) < Mdl.score(coarse, scC, lines))
+    assert(Mdl.score(fine, scF) < Mdl.score(coarse, scC))
   }
 
   test("noiseBaseline is 8 bits per character plus block flags") {
@@ -134,11 +144,87 @@ class MdlSpec extends AnyFunSuite {
     assert(Mdl.noiseBaseline(lines) == 32.0 + 2 + (3 + 2) * 8.0)
   }
 
-  test("columnTypes pools array elements per column") {
-    val p1 = ParseRecord(csv, "1,2,3\n").get
-    val p2 = ParseRecord(csv, "4,5\n").get
-    val types = Mdl.columnTypes(Seq(p1, p2))
-    assert(types.keySet == Set("a0.f0"))
-    assert(types("a0.f0").isInstanceOf[Mdl.IntType])
+  test("scan pools array elements per column") {
+    val sc = Mdl.scan(csv, Vector("1,2,3", "4,5"), 10)
+    assert(csv.program.columns == Vector("a0.f0") && sc.columns.length == 1)
+    assert(sc.columns.head.choice._1 == Mdl.IntType(1, 5))
+  }
+
+  // ---- property: the one-pass summary types a column as the regexes do
+
+  /** The typing rule the column summary replaced: two regexes per value
+    * and `String.toLong`/`toDouble`. It shares no code with [[Mdl]].
+    */
+  private def refChoice(values: Seq[String]): (Mdl.FieldType, Double) = {
+    val IntRe = "-?\\d{1,18}".r
+    val RealRe = "-?\\d{1,12}\\.\\d{1,9}".r
+    val n = values.length.toLong
+    if (n == 0) return (Mdl.StrType, 0.0)
+    val distinct = values.distinct
+    val candidates = mutable.ArrayBuffer[(Mdl.FieldType, Double)](
+      (Mdl.StrType, values.map(v => (v.length + 1) * 8.0).sum))
+    if (distinct.length <= 256 && distinct.length <= math.max(2, n / 4)) {
+      val t = Mdl.EnumType(distinct.length, distinct.map(v => (v.length + 1) * 8.0).sum)
+      candidates += ((t, t.overheadBits + n * t.bitsPer("")))
+    }
+    if (values.forall(IntRe.matches)) {
+      val xs = values.map(_.toLong)
+      val t = Mdl.IntType(xs.min, xs.max)
+      candidates += ((t, n * t.bitsPer("")))
+    }
+    if (values.forall(RealRe.matches)) {
+      val xs = values.map(_.toDouble)
+      val t = Mdl.RealType(xs.min, xs.max, values.map(v => v.length - v.indexOf('.') - 1).max)
+      candidates += ((t, n * t.bitsPer("")))
+    }
+    candidates.minBy(_._2)
+  }
+
+  /** Values near the edges of both number rules. */
+  private val edgeValue: Gen[String] = Gen.oneOf(
+    "-", "-0", "0", "007", "-007", "1.", ".5", "-.5", "0.0", "-0.0", "1.5e3", "+1", "1 ", "",
+    "123456789012345678", "-999999999999999999", "1234567890123456789", "9223372036854775807",
+    "0.1234567890", "0.123456789", "1234567890123.5", "123456789012.123456789",
+    "\u0661\u0662", "1\uff12", "\u0967.5", "12.\u0665")
+
+  private def digitString(lo: Int, hi: Int): Gen[String] =
+    Gen.choose(lo, hi).flatMap(k => Gen.listOfN(k, Gen.numChar)).map(_.mkString)
+
+  private val intValue: Gen[String] = for {
+    sign <- Gen.oneOf("", "", "-")
+    d <- Gen.frequency(6 -> digitString(1, 6), 1 -> digitString(17, 19))
+  } yield sign + d
+
+  private val realValue: Gen[String] = for {
+    sign <- Gen.oneOf("", "", "-")
+    i <- Gen.frequency(6 -> digitString(1, 4), 1 -> digitString(11, 13))
+    f <- Gen.frequency(6 -> digitString(1, 3), 1 -> digitString(8, 10))
+  } yield s"$sign$i.$f"
+
+  /** Columns that are mostly of one kind, so all-int and all-real columns
+    * are common, with an edge value mixed in now and then.
+    */
+  private val column: Gen[Vector[String]] = for {
+    kind <- Gen.oneOf(intValue, realValue, Gen.oneOf("INFO", "WARN", "7", "7.5"), edgeValue)
+    n <- Gen.frequency(1 -> Gen.const(0), 8 -> Gen.choose(1, 40))
+    vs <- Gen.listOfN(n, Gen.frequency(12 -> kind, 1 -> edgeValue))
+  } yield vs.toVector
+
+  test("property: the column summary types a column as the regex rule does") {
+    var ints = 0
+    var reals = 0
+    for (vs <- samples(column, 2000)) {
+      val c = new Mdl.ColumnSummary
+      vs.foreach(v => c.add("<" + v + ">", 1, v.length + 1)) // read in place
+      val want = refChoice(vs)
+      assert(c.choice == want, s"column ${vs.mkString("|")}")
+      assert(inferType(vs) == want._1)
+      want._1 match {
+        case _: Mdl.IntType  => ints += 1
+        case _: Mdl.RealType => reals += 1
+        case _               => ()
+      }
+    }
+    assert(ints > 100 && reals > 100, s"int columns $ints, real columns $reals")
   }
 }

@@ -74,7 +74,7 @@ class RefineSpec extends AnyFunSuite {
     val arr = Template(Vector(TArray(Vector(F), ' ', '\n')))
     val (t, _, scoreRefined) = Refine.refine(arr, lines, 10)
     val scPlain = Mdl.scan(arr, lines, 10)
-    val scorePlain = Mdl.score(arr, scPlain, lines)
+    val scorePlain = Mdl.score(arr, scPlain)
     assert(scoreRefined <= scorePlain)
     assert(t.pretty.startsWith("F "), s"expected a peeled head, got ${t.pretty}")
   }

@@ -42,6 +42,19 @@ class TemplateSpec extends AnyFunSuite {
     assert(t.charset == Set('[', ':', ']', ' ', '\n'))
   }
 
+  test("a non-ASCII formatting character is rejected when the template is built") {
+    val bad = Vector(
+      Vector(F, c('§'), F, c('\n')),
+      Vector(TArray(Vector(F), '·', '\n')),
+      Vector(TArray(Vector(F), ',', ' '), c('\n')),
+      Vector(TArray(Vector(F, c('\u0080'), F), ',', '\n')))
+    for (items <- bad) {
+      intercept[IllegalArgumentException](Template(items))
+      intercept[IllegalArgumentException](Template.decode(Template.encode(items)))
+    }
+    assert(Template(Vector(F, c('\u007f'), F, c('\n'))).charset.contains('\u007f'))
+  }
+
   test("lineGroups counts top-level lines") {
     val t = Template(Vector(F, c('\n'), F, c('\n')))
     assert(t.lineGroups.length == 2)
