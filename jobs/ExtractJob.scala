@@ -7,10 +7,12 @@ import repro.core._
   *
   * Usage: ExtractJob <input.log> <outputDir> [greedy|exhaustive]
   *
-  * Infers the structure on a driver-side sample (paper §9.1 sampling), then
-  * runs the distributed extraction (each partition runs the greedy cover
-  * from a stitched entry line) and writes one CSV directory per relational
-  * table plus a `records` table of boundaries.
+  * Infers the structure on the file's first 20,000 lines (not yet the
+  * paper's whole-file sampling, §9.1: search samples chunks only inside
+  * that head, so a format that first appears later is extracted as noise;
+  * ROADMAP item 6), then runs the distributed extraction (each partition
+  * runs the greedy cover from a stitched entry line) and writes one CSV
+  * directory per relational table plus a `records` table of boundaries.
   */
 object ExtractJob {
   def main(args: Array[String]): Unit = {

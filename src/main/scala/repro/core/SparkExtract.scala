@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.types._
 import scala.collection.immutable.ArraySeq
 
@@ -19,6 +20,12 @@ import scala.collection.immutable.ArraySeq
   *  3. the driver stitches the entries left to right through the tables,
   *     and the cached rows stage replays each partition's cover from its
   *     entry, emitting the relational rows (§3.3/Fig 7) of every record.
+  *     A partition's rows are cached as one block: an `Array[Row]` per
+  *     output table and one for the records table, and each table's
+  *     DataFrame reads its own array. One object per partition, not one
+  *     per row, because Spark sizes a deserialized cache by walking its
+  *     elements' object graphs as it grows, while it only samples the
+  *     elements of a large array.
   */
 object SparkExtract {
 
@@ -43,6 +50,12 @@ object SparkExtract {
       onRelease = () => ()
     }
   }
+
+  /** One partition's output rows: `tables(k)` holds output table k's rows
+    * (the tables numbered over templates × [[Relational.schemas]]), and
+    * `records` the (type_idx, start_line, span) row of each record.
+    */
+  private final case class Block(tables: Array[Array[Row]], records: Array[Row])
 
   /** Distribute `lines` and extract with `templates` (priority order). */
   def extract(
@@ -76,33 +89,44 @@ object SparkExtract {
     for (pid <- 1 until exits.length)
       entries(pid) = exits(pid - 1)(entries(pid - 1)) - counts(pid - 1)
 
-    val rows: RDD[(Int, String, Row)] = lines.mapPartitionsWithIndex { (pid, it) =>
+    // output table k is template tid's schema j, numbered over templates × schemas
+    val schemas = templates.map(Relational.schemas)
+    val firstSlot = schemas.scanLeft(0)(_ + _.length)
+    val slot: Vector[Map[String, Int]] = schemas.zipWithIndex.map { case (ss, tid) =>
+      ss.zipWithIndex.map { case (s, j) => s.path -> (firstSlot(tid) + j) }.toMap
+    }
+    val blocks: RDD[Block] = lines.mapPartitionsWithIndex { (pid, it) =>
       val ts = bcTemplates.value.map(Template.decode)
       val base = offsets(pid)
+      val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
+      val recordRows = Array.newBuilder[Row]
       new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), ts, maxSpan,
-        entries(pid), counts(pid), _ => false).records.flatMap { r =>
-        val start = base + r.start
-        Relational.toRows(r.parsed).iterator.map { tr =>
-          // NB: Vector(start, span) would harmonize the Int span to
-          // Long (numeric vararg widening) and break the row schema
-          val key: Vector[Any] =
-            if (tr.path.isEmpty) Vector[Any](start: java.lang.Long, r.span: java.lang.Integer)
-            else Vector[Any](start: java.lang.Long, tr.ord)
-          (r.typeIdx, tr.path, Row.fromSeq(key ++ tr.values))
+        entries(pid), counts(pid), _ => false).records.foreach { r =>
+        val start: java.lang.Long = base + r.start
+        val span: java.lang.Integer = r.span
+        recordRows += new GenericRow(Array[Any](r.typeIdx, start, span))
+        Relational.toRows(r.parsed).foreach { tr =>
+          val row = new Array[Any](2 + tr.values.length)
+          row(0) = start
+          // the root table is keyed (record_id, span), an array table (record_id, ord)
+          row(1) = if (tr.path.isEmpty) span else tr.ord
+          tr.values.copyToArray(row, 2)
+          tableRows(slot(r.typeIdx)(tr.path)) += new GenericRow(row)
         }
       }
+      Iterator.single(Block(tableRows.map(_.result()), recordRows.result()))
     }.cache()
 
-    val tables = templates.zipWithIndex.flatMap { case (t, tid) =>
-      Relational.schemas(t).map { sch =>
+    val tables = schemas.zipWithIndex.flatMap { case (ss, tid) =>
+      ss.zipWithIndex.map { case (sch, j) =>
+        val k = firstSlot(tid) + j
         val key =
           if (sch.path.isEmpty) StructField("span", IntegerType, nullable = false)
           else StructField("ord", StringType, nullable = false)
         val schema = StructType(StructField("record_id", LongType, nullable = false) +: key +:
           // column names: a field path's dots become underscores
           sch.cols.map(c => StructField(c.replace('.', '_'), StringType, nullable = false)))
-        val rdd = rows.filter { case (i, p, _) => i == tid && p == sch.path }.map(_._3)
-        ExtractedTable(tid, sch.path, spark.createDataFrame(rdd, schema))
+        ExtractedTable(tid, sch.path, spark.createDataFrame(blocks.flatMap(_.tables(k).iterator), schema))
       }
     }
 
@@ -111,11 +135,9 @@ object SparkExtract {
       StructField("start_line", LongType, nullable = false),
       StructField("span", IntegerType, nullable = false)
     ))
-    // the root row of a record is keyed (start_line, span)
-    val recRows = rows.filter(_._2.isEmpty).map { case (tid, _, row) => Row(tid, row.getLong(0), row.getInt(1)) }
-    val ex = SparkExtraction(spark.createDataFrame(recRows, recSchema), tables)
+    val ex = SparkExtraction(spark.createDataFrame(blocks.flatMap(_.records.iterator), recSchema), tables)
     ex.onRelease = () => {
-      rows.unpersist(blocking = false)
+      blocks.unpersist(blocking = false)
       bcTemplates.destroy()
       bcHeads.destroy()
     }
@@ -156,9 +178,11 @@ object SparkExtract {
     exits
   }
 
-  /** End-to-end: infer structure on a driver-side sample (the paper's own
-    * sampling architecture, §9.1), then extract the full distributed
-    * dataset.
+  /** End-to-end: infer structure on the file's first `sampleLines` lines,
+    * then extract the full distributed dataset. This is not yet the
+    * paper's whole-file sampling (§9.1): [[Datamaran.infer]] samples chunks
+    * only inside that head, so a format that first appears after it is
+    * extracted as noise (ROADMAP item 6).
     */
   def inferAndExtract(
       spark: SparkSession,

@@ -20,38 +20,6 @@ class SparkExtractSpec extends SparkSpec {
   private def templatesFor(gt: GtDataset): Vector[Template] =
     Datamaran.infer(gt.lines, DmParams()).types.map(_.template)
 
-  test("spark extraction equals local extraction (multi-line, noise, 7 partitions)") {
-    val gt = crashGt(200, 0.08, 21)
-    val ts = templatesFor(gt)
-    assert(ts.nonEmpty)
-    val local = Datamaran.extract(gt.lines, ts, 10)
-    val rdd = spark.sparkContext.parallelize(gt.lines, 7)
-    val ex = SparkExtract.extract(spark, rdd, ts, 10)
-    val got = ex.records.collect().map(r => (r.getInt(0), r.getLong(1), r.getInt(2))).sortBy(_._2)
-    val want = local.map(r => (r.typeIdx, r.start.toLong, r.span)).sortBy(_._2)
-    assert(got.toVector == want)
-  }
-
-  test("records straddling partition boundaries are found") {
-    // 3-line records, one partition per ~2 lines: every record straddles
-    val gt = crashGt(40, 0.0, 22)
-    val ts = templatesFor(gt)
-    val local = Datamaran.extract(gt.lines, ts, 10)
-    val rdd = spark.sparkContext.parallelize(gt.lines, math.max(2, gt.lines.length / 2))
-    val ex = SparkExtract.extract(spark, rdd, ts, 10)
-    assert(ex.records.count() == local.length.toLong)
-    ex.release()
-  }
-
-  test("more partitions than lines is handled") {
-    val gt = crashGt(5, 0.0, 23)
-    val ts = templatesFor(gt)
-    val rdd = spark.sparkContext.parallelize(gt.lines, 64)
-    val ex = SparkExtract.extract(spark, rdd, ts, 10)
-    assert(ex.records.count() == gt.records.length.toLong)
-    ex.release()
-  }
-
   test("property: spark equals local on every partitioning, row for row") {
     def twoTypes(seed: Long): GtDataset = {
       val r = new scala.util.Random(seed)
@@ -64,16 +32,49 @@ class SparkExtractSpec extends SparkSpec {
     val pairs3 = Template(Vector(F, c(','), F, c('\n'), F, c(','), F, c('\n'), F, c(','), F, c('\n')))
     val rnd = new scala.util.Random(44)
     val phased = Vector.fill(60)(if (rnd.nextInt(5) == 0) "x" else s"${rnd.nextInt(9)},${rnd.nextInt(9)}")
+    // two types with the same table paths (a0, a0.a0, a0.a1, a1) and shapes, so a
+    // row put in the other type's table of that path is well-formed but wrong
+    def nestedType(eq: Char, colon: Char, dot: Char, semi: Char, pct: Char, comma: Char, space: Char, bar: Char) =
+      Template(Vector(F, c(eq),
+        TArray(Vector(F, c(colon), TArray(Vector(F), dot, semi), TArray(Vector(F), dot, pct)), comma, space),
+        TArray(Vector(F), bar, '\n')))
+    val nestedA = nestedType('=', ':', '.', ';', '%', ',', ' ', '|')
+    val nestedB = nestedType('#', '@', '-', '/', '&', '+', '!', '~')
+    val nrnd = new scala.util.Random(45)
+    def elems(n: Int, sep: String, f: Int => String) = Vector.tabulate(1 + nrnd.nextInt(n))(f).mkString(sep)
+    def word(i: Int) = s"${"kvxyz".charAt(nrnd.nextInt(5))}$i"
+    val nested = Vector.fill(50) {
+      nrnd.nextInt(4) match {
+        case 0 => s"${word(0)}=${elems(3, ",", i => s"${word(i)}:${elems(3, ".", word)};${elems(3, ".", word)}%")} ${elems(3, "|", word)}"
+        case 1 => s"${word(0)}#${elems(3, "+", i => s"${word(i)}@${elems(3, "-", word)}/${elems(3, "-", word)}&")}!${elems(3, "~", word)}"
+        case 2 => "junk line"
+        case _ => s"${word(0)}=${word(1)}:${word(2)};"
+      }
+    } ++ Vector(
+      // '\r' before the line end, non-ASCII and NUL inside fields and noise
+      "k=x:1.2;3%,y:3;4.5% p|q\r",
+      "k#x@1/2&!p~q\r",
+      "k=\u00e4\u00f6:\u4e2d\u6587;\u0000% \u0000|\u00fc",
+      "\u0000\r",
+      "\u00e9t\u00e9 noise\r",
+      // one 100,000-char field
+      "k#x@1-2/3&!" + "w" * 100000,
+      "k=x:1;2% p|q"
+    )
     // (name, lines, templates, record count the input must give)
     val inputs: Vector[(String, Vector[String], Vector[Template], Option[Int])] =
       Vector(41L, 42L, 43L).map { seed =>
         val gt = twoTypes(seed)
         (s"two-type seed $seed", gt.lines, templatesFor(gt), None)
       } ++ Vector(
+        // multi-line records among noise lines
+        { val gt = crashGt(200, 0.08, 21); ("crash 200", gt.lines, templatesFor(gt), None) },
+        { val gt = crashGt(120, 0.05, 24); ("crash 120", gt.lines, templatesFor(gt), None) },
         // 3-line records only: with n/2 partitions every record straddles
         { val gt = crashGt(40, 0.0, 22); ("crash 40", gt.lines, templatesFor(gt), None) },
         // few lines: most partition counts exceed the line count
         { val gt = crashGt(5, 0.0, 23); ("crash 5", gt.lines, templatesFor(gt), Some(gt.records.length)) },
+        ("nested", nested, Vector(nestedA, nestedB), None),
         ("pairs", phased, Vector(pairs3, pair), None),
         ("empty", Vector.empty[String], Vector(pair), Some(0)),
         ("one line", Vector("a,b"), Vector(pair), Some(1))
@@ -86,8 +87,15 @@ class SparkExtractSpec extends SparkSpec {
         assert(ts.length == 2, s"$name: ${ts.map(_.pretty)}")
         assert(local.exists(_.span == 3), s"$name has no 3-line record")
       }
+      if (name == "nested") {
+        val tables = SparkEquality.localRows(local).keySet
+        for (tid <- 0 to 1; path <- Vector("", "a0", "a0.a0", "a0.a1", "a1"))
+          assert(tables.contains((tid, path)), s"$name: no rows in table $tid '$path'")
+        // the hand-written record lines after the 50 drawn ones
+        assert(Vector(50, 51, 52, 55, 56).forall(i => local.exists(_.start == i)), name)
+      }
       val n = lines.length
-      val partitionCounts = Vector(1, 2, 3, 7, n / 3, n / 2, n, n + 5).map(math.max(1, _)).distinct
+      val partitionCounts = Vector(1, 2, 3, 5, 7, 64, n / 3, n / 2, n, n + 5).map(math.max(1, _)).distinct
       for (k <- partitionCounts) {
         val ex = SparkExtract.extract(spark, spark.sparkContext.parallelize(lines, k), ts, 10)
         SparkEquality.mismatch(ex, local).foreach(m => fail(s"$name, $k partitions: $m"))
@@ -108,22 +116,6 @@ class SparkExtractSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.keySet.diff(before).size == 1)
     ex.release()
     assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
-  }
-
-  test("root table rows equal the local relational conversion") {
-    val gt = crashGt(120, 0.05, 24)
-    val ts = templatesFor(gt)
-    val local = Datamaran.extract(gt.lines, ts, 10)
-    val rdd = spark.sparkContext.parallelize(gt.lines, 5)
-    val ex = SparkExtract.extract(spark, rdd, ts, 10)
-    val root = ex.tables.find(t => t.typeIdx == 0 && t.path == "").get.df
-    val got = root.collect().map(r => (r.getLong(0), r.toSeq.drop(2).map(_.toString).toVector))
-      .sortBy(_._1).toVector
-    val want = local.filter(_.typeIdx == 0).map { ri =>
-      val rootRow = Relational.toRows(ri.parsed).find(_.path == "").get
-      (ri.start.toLong, rootRow.values)
-    }.sortBy(_._1)
-    assert(got == want)
   }
 
   test("array child tables carry (record_id, ord) keys") {
