@@ -3,6 +3,7 @@ package repro.bench
 import java.nio.charset.StandardCharsets.UTF_8
 import java.security.MessageDigest
 import repro.SparkSpec
+import repro.baseline.RecordBreaker
 import repro.core._
 import repro.loggen.{Corpus, LogSynth}
 
@@ -15,7 +16,13 @@ import repro.loggen.{Corpus, LogSynth}
   * where the digest covers the canonical templates, the raw bits of every
   * MDL score and sample coverage, K and the sample line count of
   * `Datamaran.infer`, and the `(typeIdx, start, span)` and relational rows
-  * of `Datamaran.extract`. Run it on two checkouts and diff the `EQ` lines:
+  * of `Datamaran.extract`. Per spec it also prints
+  *
+  *   EQ rb <spec id> <digest>
+  *
+  * over every `RecordBreaker.run` struct's canonical template and line
+  * indices, then the unexplained lines. Run it on two checkouts and diff
+  * the `EQ` lines:
   *
   *   sbt "bench/testOnly repro.bench.EquivalenceDigestBench" | grep '^EQ ' > eq.txt
   *
@@ -60,15 +67,23 @@ class EquivalenceDigestBench extends SparkSpec {
         }
         val mode = if (exhaustive) "exhaustive" else "greedy"
         val line = s"EQ $mode ${spec.id} ${d.hex} types=${ts.length} records=${recs.length}"
-        val mismatch = if (!exhaustive) None else {
+        val (rbLine, mismatch) = if (!exhaustive) (None, None) else {
+          val rb = RecordBreaker.run(gt.lines)
+          val drb = new Digest
+          for (s <- rb.structs) {
+            drb.add(s.template.canonical)
+            drb.add(s.lineIdxs.mkString(" "))
+          }
+          drb.add(rb.unexplained.mkString(" "))
           val rdd = spark.sparkContext.parallelize(gt.lines, 7)
-          SparkEquality.mismatch(SparkExtract.extract(spark, rdd, ts, p.maxSpan), recs)
+          (Some(s"EQ rb ${spec.id} ${drb.hex}"),
+            SparkEquality.mismatch(SparkExtract.extract(spark, rdd, ts, p.maxSpan), recs))
         }
-        (line, mismatch.map(m => s"${spec.id}: $m"))
+        (line +: rbLine.toVector, mismatch.map(m => s"${spec.id}: $m"))
       }
       Await.result(Future.sequence(futures), Duration.Inf)
     } finally pool.shutdown()
-    results.foreach(r => println(r._1))
+    results.foreach(_._1.foreach(println))
     val mismatches = results.flatMap(_._2)
     assert(mismatches.isEmpty, mismatches.mkString("; "))
   }

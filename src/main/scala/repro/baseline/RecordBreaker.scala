@@ -71,22 +71,27 @@ object RecordBreaker {
       idxs: Iterable[Int],
       lines: IndexedSeq[String]
   ): Template = {
+    val cluster = idxs.map(lines).toVector
+    val buf = new ParseBuffer
     var t = t0
     var changed = true
     while (changed) {
       changed = false
-      val counts = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.Set[Int]]
-      for (i <- idxs; (_, p) <- Matcher.smallestSpanAt(t, lines, i, 1); (path, k) <- p.arrayCounts)
-        counts.getOrElseUpdate(path, scala.collection.mutable.Set.empty) += k
-      val constant = counts.collectFirst {
-        case (path, ks) if ks.size == 1 && ks.head <= 64 => (path, ks.head)
+      val arrays = Mdl.scan(t, cluster, 1).arrays
+      // the path-keyed map's iteration order picks the constant array unfolded
+      val counts = scala.collection.mutable.HashMap.empty[String, (Int, scala.collection.Set[Int])]
+      for (id <- arrays.indices if arrays(id).counts.nonEmpty)
+        counts(t.program.arrays(id)) = (id, arrays(id).counts)
+      val constant = counts.valuesIterator.collectFirst {
+        case (id, ks) if ks.size == 1 && ks.head <= 64 => (id, ks.head)
       }
       constant match {
-        case Some((path, k)) =>
+        case Some((id, k)) =>
           // prefer the FULL unfold (fewest remaining array nodes)
-          val unfolded = repro.core.Refine.unfoldCandidates(t, Map(path -> Set(k)))
-            .sortBy(c => arrayNodeCount(c.items))
-            .find(c => Matcher.smallestSpanAt(c, lines, idxs.head, 1).isDefined)
+          val observed = arrays.indices.map(j => if (j == id) Set(k) else Set.empty[Int])
+          val unfolded = Refine.unfoldCandidates(t, observed)
+            .sortBy(_.program.arrays.length)
+            .find(c => c.program.parse(cluster, 0, 1, buf) > 0)
           unfolded match {
             case Some(u) if u.canonical != t.canonical => t = u; changed = true
             case _ => ()
@@ -97,16 +102,11 @@ object RecordBreaker {
     t
   }
 
-  private def arrayNodeCount(items: Vector[TElem]): Int = items.map {
-    case TArray(b, _, _) => 1 + arrayNodeCount(b)
-    case _               => 0
-  }.sum
-
   /** Parse a line against its struct's template (always succeeds for lines
     * grouped under it). Used by the evaluation criterion.
     */
   def parseLine(s: RbStruct, line: String): Parsed =
-    Matcher.smallestSpanAt(s.template, Vector(line), 0, 1).map(_._2).getOrElse(
+    Datamaran.extract(Vector(line), Vector(s.template), 1).headOption.map(_.parsed).getOrElse(
       sys.error(s"RecordBreaker line failed to re-parse under its own template")
     )
 }

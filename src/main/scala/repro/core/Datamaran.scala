@@ -151,7 +151,7 @@ object Datamaran {
       val (t, sc, score) =
         Refine.refine(s.template, lines, p.maxSpan, p.alpha, bestSoFar * 1.6)
       if (score < bestSoFar) bestSoFar = score
-      if (sc.records.isEmpty) None
+      if (sc.recordCount == 0) None
       else Some((t, sc, score))
     }
     if (evaluated.isEmpty) None
@@ -160,7 +160,7 @@ object Datamaran {
       val cut = minScore + MdlTieBand * math.max(1.0, noiseDl - minScore)
       val band = evaluated.filter(_._3 <= cut)
       Some(band.minBy { case (t, sc, score) =>
-        (-sc.records.length, sc.records.head.start, score, t.encodedLength)
+        (-sc.recordCount, sc.firstStart, score, t.encodedLength)
       })
     }
   }

@@ -18,16 +18,15 @@ import scala.collection.mutable
   */
 object Mdl {
 
-  /** A record of a scan: first line and line span. */
-  final case class RecordSpan(start: Int, span: Int)
-
   /** One scan of `lines` with a template: the greedy record cover of
     * [[Datamaran.extract]] with that template alone, its accounting, and its
     * records folded into one summary per column and per array (indexed by
     * the ids of [[ParseProgram]]).
     */
   final case class ParseScan(
-      records: Vector[RecordSpan],
+      recordCount: Int,
+      /** first line of the first record; Int.MaxValue when there is none */
+      firstStart: Int,
       noiseLines: Vector[Int],
       recordChars: Long,
       /** record chars excluding completely unconstrained template lines
@@ -44,8 +43,9 @@ object Mdl {
 
   def scan(t: Template, lines: IndexedSeq[String], maxSpan: Int): ParseScan = {
     val columns = Array.fill(t.program.columns.length)(new ColumnSummary)
-    val arrays = t.program.arrays.map(new ArraySummary(_)).toArray
-    val records = Vector.newBuilder[RecordSpan]
+    val arrays = Array.fill(t.program.arrays.length)(new ArraySummary)
+    var recordCount = 0
+    var firstStart = Int.MaxValue
     val noise = Vector.newBuilder[Int]
     // a fixed-span template has exactly one line per top-level line group:
     // the offsets within a record of its bare `F\n` lines
@@ -60,7 +60,8 @@ object Mdl {
     val p = cover.parse
     while (cover.advance()) {
       val start = cover.start
-      records += RecordSpan(start, cover.span)
+      if (recordCount == 0) firstStart = start
+      recordCount += 1
       while (next < start) { noise += next; next += 1 }
       while (next < start + cover.span) { recordChars += lineChars(next); next += 1 }
       for (off <- bare) bareChars += lineChars(start + off)
@@ -71,7 +72,7 @@ object Mdl {
     }
     while (next < lines.length) { noise += next; next += 1 }
     val total = lines.iterator.map(_.length + 1L).sum
-    ParseScan(records.result(), noise.result(), recordChars, recordChars - bareChars, total,
+    ParseScan(recordCount, firstStart, noise.result(), recordChars, recordChars - bareChars, total,
       ArraySeq.unsafeWrapArray(columns), ArraySeq.unsafeWrapArray(arrays))
   }
 
@@ -204,7 +205,7 @@ object Mdl {
   /** An array's instances folded in one pass: their count, the largest
     * repetition and every repetition count observed.
     */
-  final class ArraySummary(val path: String) {
+  final class ArraySummary {
     var instances = 0L
     private var maxRep = 1
     val counts = mutable.BitSet.empty
@@ -224,7 +225,7 @@ object Mdl {
     */
   def score(t: Template, sc: ParseScan): Double = {
     var total = t.encodedLength * 8.0 + 32.0
-    total += (sc.records.length + sc.noiseLines.length).toDouble // block flags
+    total += (sc.recordCount + sc.noiseLines.length).toDouble // block flags
     for (c <- sc.columns) total += c.choice._2
     for (a <- sc.arrays) total += a.bits
     total + (sc.totalChars - sc.recordChars) * 8.0 // noise lines

@@ -28,20 +28,7 @@ final case class FieldSeg(path: String, text: String) extends Seg
 final case class ArraySeg(path: String, text: String, elems: Vector[Vector[Seg]]) extends Seg
 
 /** A record parsed against a template. */
-final case class Parsed(segs: Vector[Seg]) extends Serializable {
-  /** Repetition count of each array instance, keyed by array path, in
-    * template order (one entry per instance; nested arrays contribute too).
-    */
-  def arrayCounts: Vector[(String, Int)] = {
-    val out = Vector.newBuilder[(String, Int)]
-    def walk(ss: Vector[Seg]): Unit = ss.foreach {
-      case ArraySeg(p, _, els) => out += (p -> els.length); els.foreach(walk)
-      case _                   => ()
-    }
-    walk(segs)
-    out.result()
-  }
-}
+final case class Parsed(segs: Vector[Seg]) extends Serializable
 
 /** Where one parse put its fields and arrays, in reusable primitive arrays:
   * per field (column id, line, from, to), in parse order; per array
@@ -108,7 +95,9 @@ final class ParseBuffer {
   *    keeps this deterministic).
   *
   * Fields and arrays carry integer ids, numbered in template pre-order,
-  * with their paths ("f2", "a1.f0", ...) computed here once. A parse writes
+  * with their paths ("f2", "a1.f0", ...) and the table of each column (the
+  * relational output's, §3.3) computed here once: this is the only
+  * numbering of a template's columns, arrays and tables. A parse writes
   * only offsets into a [[ParseBuffer]]; the caller reads them after the
   * parse succeeds, either as a segment tree ([[parsed]]) or folded into
   * column summaries ([[Mdl.scan]]).
@@ -127,7 +116,11 @@ final class ParseProgram private (
     /** Path of each column id ("f2", "a1.f0", ...). */
     val columns: Vector[String],
     /** Path of each array id ("a0", "a0.a1", ...). */
-    val arrays: Vector[String]
+    val arrays: Vector[String],
+    /** Table of each column id: the id of the innermost array around it,
+      * or -1 for the root (record) table.
+      */
+    val owners: Vector[Int]
 ) {
   import ParseProgram._
 
@@ -228,9 +221,10 @@ object ParseProgram {
     val code = scala.collection.mutable.ArrayBuffer.empty[Int]
     val cols = Vector.newBuilder[String]
     val arrs = Vector.newBuilder[String]
+    val owners = Vector.newBuilder[Int]
     var nCols = 0
     var nArrs = 0
-    def walk(items: Vector[TElem], prefix: String): Unit = {
+    def walk(items: Vector[TElem], prefix: String, owner: Int): Unit = {
       var fld = 0
       var arr = 0
       items.foreach {
@@ -238,20 +232,22 @@ object ParseProgram {
         case TField =>
           code += Field += nCols
           cols += s"${prefix}f$fld"
+          owners += owner
           nCols += 1; fld += 1
         case TArray(body, sep, term) =>
           val path = s"${prefix}a$arr"
           arrs += path
           val open = code.length
-          code += Open += nArrs += -1
+          val id = nArrs
+          code += Open += id += -1
           nArrs += 1; arr += 1
-          walk(body, s"$path.")
+          walk(body, s"$path.", id)
           code(open + 2) = code.length
           code += Next += sep += term += open + 3
       }
     }
-    walk(t.items, "")
-    new ParseProgram(t.charset, code.toArray, cols.result(), arrs.result())
+    walk(t.items, "", -1)
+    new ParseProgram(t.charset, code.toArray, cols.result(), arrs.result(), owners.result())
   }
 
   private val LitSegs: Array[LitSeg] = Array.tabulate(128)(c => LitSeg(c.toChar.toString))
@@ -260,23 +256,4 @@ object ParseProgram {
   private def text(lines: IndexedSeq[String], l0: Int, c0: Int, l1: Int, c1: Int): String =
     if (l0 == l1) lines(l0).substring(c0, c1)
     else lines.slice(l0, l1).mkString("", "\n", "\n").substring(c0) + lines(l1).substring(0, c1)
-}
-
-/** One-off parses that build the segment tree. */
-object Matcher {
-
-  /** The line span s at which lines[start .. start+s) parse as one record of
-    * `t`, with that parse; unique when it exists ([[ParseProgram]]), so also
-    * the smallest.
-    */
-  def smallestSpanAt(
-      t: Template,
-      lines: IndexedSeq[String],
-      start: Int,
-      maxSpan: Int
-  ): Option[(Int, Parsed)] = {
-    val buf = new ParseBuffer
-    val span = t.program.parse(lines, start, maxSpan, buf)
-    if (span < 0) None else Some((span, t.program.parsed(lines, buf)))
-  }
 }

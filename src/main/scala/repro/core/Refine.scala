@@ -6,29 +6,28 @@ package repro.core
   */
 object Refine {
 
-  /** All single-node array revisions of a template:
+  /** All single-node array revisions of a template, given the observed
+    * repetition counts of each array id of [[Template.program]]:
     *
     *  - full unfold: `({A}x)*{A}y` -> `A x A x ... A y` with exactly k
-    *    copies — proposed for every k in `fullCounts` (the distinct observed
-    *    repetition counts for the array; proposing them all lets the best
-    *    one win by score even when counts vary);
+    *    copies — proposed for every observed count k of the array
+    *    (proposing them all lets the best one win by score even when
+    *    counts vary);
     *  - partial unfold: `({A}x)*{A}y` -> `A x ({A}x)*{A}y` — peels one
     *    leading element while keeping the non-deterministic suffix
     *    (the paper's mechanism for "regular fields mixed with text fields").
     */
-  def unfoldCandidates(
-      t: Template,
-      observedCounts: Map[String, Set[Int]]
-  ): Vector[Template] = {
-    def rewriteAt(items: Vector[TElem], prefix: String): Vector[Vector[TElem]] = {
+  def unfoldCandidates(t: Template, observed: IndexedSeq[collection.Set[Int]]): Vector[Template] = {
+    // the program's array ids: an array's id precedes its body's, which
+    // precede the next item's
+    var id = 0
+    def rewriteAt(items: Vector[TElem]): Vector[Vector[TElem]] = {
       val res = Vector.newBuilder[Vector[TElem]]
-      var arrIdx = 0
       items.zipWithIndex.foreach {
         case (TArray(body, x, y), i) =>
-          val apath = s"${prefix}a$arrIdx"
-          arrIdx += 1
           // bound the fan-out: propose at most the 4 smallest observed counts
-          val counts = observedCounts.getOrElse(apath, Set.empty).toVector.sorted.take(4).toSet
+          val counts = observed(id).toVector.sorted.take(4)
+          id += 1
           // full unfolds
           for (k <- counts if k >= 1 && k <= 64) {
             val flat = Vector.tabulate(k) { j =>
@@ -42,19 +41,15 @@ object Refine {
             res += items.patch(i, peeled, 1)
           }
           // recurse into the body
-          for (newBody <- rewriteAt(body, s"$apath."))
+          for (newBody <- rewriteAt(body))
             res += items.updated(i, TArray(newBody, x, y))
         case _ => ()
       }
       res.result()
     }
 
-    rewriteAt(t.items, "").map(Template(_)).distinctBy(_.canonical)
+    rewriteAt(t.items).map(Template(_)).distinctBy(_.canonical)
   }
-
-  /** Observed repetition counts per array path from a parse scan. */
-  def observedCounts(sc: Mdl.ParseScan): Map[String, Set[Int]] =
-    sc.arrays.iterator.filter(_.instances > 0).map(a => a.path -> a.counts.toSet).toMap
 
   /** Collapse a template that is k >= 2 exact copies of the same top-level
     * line-group sequence into a single copy. The boundary enumeration
@@ -85,18 +80,19 @@ object Refine {
     (1 until segments.length).toVector.map(s => Template((segments.drop(s) ++ segments.take(s)).flatten))
   }
 
-  /** Apply the RefineST loop of Algorithm 2: repeatedly take the best
-    * score-improving unfold; then resolve shifting ambiguity by earliest
-    * first occurrence in the data.
+  /** Apply the RefineST loop of Algorithm 2 to a period-reduced template
+    * ([[periodReduce]]): repeatedly take the best score-improving unfold;
+    * then resolve shifting ambiguity by earliest first occurrence in the
+    * data.
     */
   def refine(
       t0: Template,
       lines: IndexedSeq[String],
       maxSpan: Int,
-      minCoverage: Double = 0.0,
-      skipIfAbove: Double = Double.MaxValue
+      minCoverage: Double,
+      skipIfAbove: Double
   ): (Template, Mdl.ParseScan, Double) = {
-    var t = periodReduce(t0)
+    var t = t0
     var sc = Mdl.scan(t, lines, maxSpan)
     var score = Mdl.score(t, sc)
     // templates below the acceptance coverage can never win, and templates
@@ -109,11 +105,11 @@ object Refine {
     while (improved && rounds < 5) {
       improved = false
       rounds += 1
-      val cands = unfoldCandidates(t, observedCounts(sc))
+      val cands = unfoldCandidates(t, sc.arrays.map(_.counts))
       var best: Option[(Template, Mdl.ParseScan, Double)] = None
       for (c <- cands) {
         val csc = Mdl.scan(c, lines, maxSpan)
-        if (csc.records.nonEmpty) {
+        if (csc.recordCount > 0) {
           val cs = Mdl.score(c, csc)
           if (cs < score && best.forall(_._3 > cs)) best = Some((c, csc, cs))
         }
@@ -126,15 +122,13 @@ object Refine {
     // pick the earliest first occurrence (ties keep the original)
     val shifts = cyclicShifts(t)
     if (shifts.nonEmpty) {
-      val origFirst = sc.records.headOption.map(_.start).getOrElse(Int.MaxValue)
-      var bestT = t; var bestSc = sc; var bestScore = score; var bestFirst = origFirst
+      var bestT = t; var bestSc = sc; var bestScore = score
       for (s <- shifts) {
         val ssc = Mdl.scan(s, lines, maxSpan)
-        if (ssc.records.nonEmpty) {
+        if (ssc.recordCount > 0) {
           val sscore = Mdl.score(s, ssc)
-          val first = ssc.records.head.start
-          if (sscore <= bestScore * 1.02 && first < bestFirst) {
-            bestT = s; bestSc = ssc; bestScore = sscore; bestFirst = first
+          if (sscore <= bestScore * 1.02 && ssc.firstStart < bestSc.firstStart) {
+            bestT = s; bestSc = ssc; bestScore = sscore
           }
         }
       }

@@ -16,15 +16,17 @@ object Relational {
     */
   final case class TableSchema(path: String, cols: Vector[String])
 
-  /** All table schemas of a template, root first, arrays in template order. */
+  /** All table schemas of a template, root first, arrays in template
+    * pre-order: the tables and columns of [[Template.program]].
+    */
   def schemas(t: Template): Vector[TableSchema] = {
-    // a node's fields and arrays are numbered in order, as the parse numbers them
-    def walk(items: Vector[TElem], prefix: String, path: String): Vector[TableSchema] =
-      TableSchema(path, Vector.tabulate(items.count(_ == TField))(i => s"${prefix}f$i")) +:
-        items.collect { case TArray(body, _, _) => body }.zipWithIndex.flatMap { case (body, i) =>
-          walk(body, s"${prefix}a$i.", s"${prefix}a$i")
-        }
-    walk(t.items, "", "")
+    val p = t.program
+    Vector.tabulate(p.arrays.length + 1) { k =>
+      val owner = k - 1 // -1 is the root table
+      TableSchema(if (owner < 0) "" else p.arrays(owner), p.columns.indices.collect {
+        case c if p.owners(c) == owner => p.columns(c)
+      }.toVector)
+    }
   }
 
   /** Rows of one record: table path -> rows. The root table has one row of

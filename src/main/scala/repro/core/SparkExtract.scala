@@ -41,7 +41,7 @@ object SparkExtract {
   ) {
     private[SparkExtract] var onRelease: () => Unit = () => ()
 
-    /** Unpersist the cached rows and destroy the broadcasts of the call
+    /** Unpersist the cached rows and destroy the broadcast of the call
       * that made this extraction. Call it once its tables are written: the
       * DataFrames cannot be evaluated afterwards.
       */
@@ -66,7 +66,6 @@ object SparkExtract {
   ): SparkExtraction = {
     require(maxSpan >= 1, s"maxSpan must be positive: $maxSpan")
     val sc = spark.sparkContext
-    val bcTemplates = sc.broadcast(templates.map(_.canonical))
 
     val heads: Array[(Int, Array[String])] = lines.mapPartitions { it =>
       val head = Array.newBuilder[String]
@@ -78,11 +77,12 @@ object SparkExtract {
     val offsets = counts.scanLeft(0L)(_ + _)
     val bcHeads = sc.broadcast(heads.map(_._2))
 
+    // the closures capture `templates`: each task deserializes its own
+    // copies, which compile their parse programs once per task
     val exits: Array[Array[Int]] = lines.mapPartitionsWithIndex { (pid, it) =>
-      val ts = bcTemplates.value.map(Template.decode)
       // partition 0 is entered at 0 only
       val entered = if (pid == 0) 1 else maxSpan
-      Iterator.single(exitTable(window(it, pid, bcHeads.value, maxSpan), counts(pid), ts, maxSpan, entered))
+      Iterator.single(exitTable(window(it, pid, bcHeads.value, maxSpan), counts(pid), templates, maxSpan, entered))
     }.collect()
 
     val entries = new Array[Int](exits.length)
@@ -96,11 +96,10 @@ object SparkExtract {
       ss.zipWithIndex.map { case (s, j) => s.path -> (firstSlot(tid) + j) }.toMap
     }
     val blocks: RDD[Block] = lines.mapPartitionsWithIndex { (pid, it) =>
-      val ts = bcTemplates.value.map(Template.decode)
       val base = offsets(pid)
       val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
       val recordRows = Array.newBuilder[Row]
-      new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), ts, maxSpan,
+      new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), templates, maxSpan,
         entries(pid), counts(pid), _ => false).records.foreach { r =>
         val start: java.lang.Long = base + r.start
         val span: java.lang.Integer = r.span
@@ -138,7 +137,6 @@ object SparkExtract {
     val ex = SparkExtraction(spark.createDataFrame(blocks.flatMap(_.records.iterator), recSchema), tables)
     ex.onRelease = () => {
       blocks.unpersist(blocking = false)
-      bcTemplates.destroy()
       bcHeads.destroy()
     }
     ex

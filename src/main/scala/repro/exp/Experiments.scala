@@ -233,19 +233,12 @@ object Experiments {
 
   /** Reference "optimal" template per dataset: the best MDL among ALL
     * generated candidates with >= alpha coverage (i.e. M = infinity), as in
-    * §5.2.3's metric.
+    * §5.2.3's metric; the first type of an exhaustive search that keeps
+    * every candidate.
     */
-  def optimalTemplate(gt: GtDataset, alpha: Double, maxSpan: Int): Option[String] = {
-    val p = DmParams(alpha = alpha, maxSpan = maxSpan, topM = Int.MaxValue)
-    val sample = Generation.sampleLines(gt.lines, p)
-    val genSample = Generation.generationSample(gt.lines, p)
-    val stats = Generation.dedupe(
-      Generation.exhaustiveSearch(genSample, p)
-        .map(s => s.copy(template = Refine.periodReduce(s.template))))
-    if (stats.isEmpty) return None
-    val top = Generation.prune(stats, p) // M = infinity: order only
-    Datamaran.evaluateBest(top, sample, p, Mdl.noiseBaseline(sample)).map(_._1.canonical)
-  }
+  def optimalTemplate(gt: GtDataset, alpha: Double, maxSpan: Int): Option[String] =
+    Datamaran.infer(gt.lines, DmParams(alpha = alpha, maxSpan = maxSpan, topM = Int.MaxValue))
+      .types.headOption.map(_.template.canonical)
 
   /** Fig 15 (runtime vs M, alpha and L) and Fig 16 (how often the returned
     * structure is the optimal — best-MDL — one) on the first `n` manual

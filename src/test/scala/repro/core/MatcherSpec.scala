@@ -4,7 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelpers.samples
 
-/** LL(1) matcher: parsing, segment streams, spans. */
+/** The LL(1) parse program: parsing, segment streams, spans, and the
+  * column and array ids that name the relational tables.
+  */
 class MatcherSpec extends AnyFunSuite {
 
   private val F = TField
@@ -80,11 +82,6 @@ class MatcherSpec extends AnyFunSuite {
     assert(paths == Vector("f0", "a0.f0", "a0.f1", "a0.f0", "a0.f1"))
   }
 
-  test("arrayCounts reports instance repetition") {
-    val t = Template(Vector(TArray(Vector(F), ',', '\n')))
-    assert(ParseRecord(t, "a,b,c\n").get.arrayCounts == Vector(("a0", 3)))
-  }
-
   test("parsed text reassembles the record") {
     val t = Template(Vector(F, c(','), c('"'), TArray(Vector(F), ',', '"'), c(','), F, c('\n')))
     val rec = "1,\"a,b\",x\n"
@@ -106,7 +103,20 @@ class MatcherSpec extends AnyFunSuite {
       .mkString(",") + "\n"
     val p = ParseRecord(t, rec).get
     assert(ParseRecord.text(p) == rec)
-    assert(p.arrayCounts.length == 61 && ParsedFields(p).length == (0 until 60).map(_ % 7 + 1).sum)
+    assert(arrayCounts(p).length == 61 && ParsedFields(p).length == (0 until 60).map(_ % 7 + 1).sum)
+  }
+
+  /** Repetition count of each array instance of a parse, keyed by array
+    * path, in template order (nested arrays contribute too).
+    */
+  private def arrayCounts(p: Parsed): Vector[(String, Int)] = {
+    val out = Vector.newBuilder[(String, Int)]
+    def walk(ss: Vector[Seg]): Unit = ss.foreach {
+      case ArraySeg(path, _, els) => out += (path -> els.length); els.foreach(walk)
+      case _                      => ()
+    }
+    walk(p.segs)
+    out.result()
   }
 
   /** The span's parse must be the parse of the joined span text. */
@@ -116,15 +126,15 @@ class MatcherSpec extends AnyFunSuite {
   test("smallestSpanAt: fixed-span template") {
     val t = Template(Vector(F, c(':'), F, c('\n'), c('}'), c('\n')))
     val lines = Vector("a:b", "}", "noise")
-    assert(Matcher.smallestSpanAt(t, lines, 0, 10).contains(spanParse(t, lines, 0, 2)))
-    assert(Matcher.smallestSpanAt(t, lines, 1, 10).isEmpty)
+    assert(ParseRecord.smallestSpanAt(t, lines, 0, 10).contains(spanParse(t, lines, 0, 2)))
+    assert(ParseRecord.smallestSpanAt(t, lines, 1, 10).isEmpty)
   }
 
   test("smallestSpanAt: honors maxSpan") {
     val t = Template(Vector(F, c('\n'), F, c('\n'), F, c('\n')))
     val lines = Vector("a", "b", "c")
-    assert(Matcher.smallestSpanAt(t, lines, 0, 2).isEmpty)
-    assert(Matcher.smallestSpanAt(t, lines, 0, 3).contains(spanParse(t, lines, 0, 3)))
+    assert(ParseRecord.smallestSpanAt(t, lines, 0, 2).isEmpty)
+    assert(ParseRecord.smallestSpanAt(t, lines, 0, 3).contains(spanParse(t, lines, 0, 3)))
   }
 
   // ---- property: render-then-parse roundtrip
@@ -182,7 +192,7 @@ class MatcherSpec extends AnyFunSuite {
 
   /** The string parser the line-window matcher replaced: `text` (with its
     * trailing '\n') must be consumed whole. It shares no code with
-    * [[Matcher]], so the property below also guards the segment texts.
+    * [[ParseProgram]], so the property below also guards the segment texts.
     */
   private def refParse(t: Template, text: String): Option[Parsed] = {
     val stop = t.charset
@@ -307,7 +317,7 @@ class MatcherSpec extends AnyFunSuite {
     var variableSpan = 0
     var multiLineArrays = 0
     for ((t, lines) <- samples(genCase, 400); start <- 0 to lines.length; maxSpan <- 1 to L) {
-      val got = Matcher.smallestSpanAt(t, lines, start, maxSpan)
+      val got = ParseRecord.smallestSpanAt(t, lines, start, maxSpan)
       assert(got == refSpanAt(t, lines, start, maxSpan),
         s"${t.pretty} at $start, maxSpan $maxSpan over ${lines.mkString("|")}")
       for ((span, p) <- got) {
@@ -323,5 +333,34 @@ class MatcherSpec extends AnyFunSuite {
     }
     assert(matches > 1000 && variableSpan > 100 && multiLineArrays > 100,
       s"matches $matches, variable-span $variableSpan, multi-line arrays $multiLineArrays")
+  }
+
+  // ---- property: the program's ids name the tables and the array summaries
+
+  /** Array paths of a template in pre-order, numbered apart from the program. */
+  private def preOrderArrays(items: Vector[TElem], prefix: String): Vector[String] =
+    items.collect { case a: TArray => a.body }.zipWithIndex.flatMap { case (body, i) =>
+      s"${prefix}a$i" +: preOrderArrays(body, s"${prefix}a$i.")
+    }
+
+  test("property: column and array ids number the tables and the array summaries") {
+    var records = 0
+    var nested = 0
+    for ((t, lines) <- samples(genCase, 1000); start <- lines.indices;
+         (span, p) <- ParseRecord.smallestSpanAt(t, lines, start, 6)) {
+      records += 1
+      val schemas = Relational.schemas(t).map(s => s.path -> s.cols.length).toMap
+      for (row <- Relational.toRows(p))
+        assert(schemas.get(row.path).contains(row.values.length), s"${t.pretty}: row $row vs $schemas")
+      val paths = preOrderArrays(t.items, "")
+      if (paths.exists(_.contains('.'))) nested += 1
+      val counts = arrayCounts(p)
+      val sc = Mdl.scan(t, lines.slice(start, start + span), span)
+      assert(sc.recordCount == 1 && sc.arrays.length == paths.length, t.pretty)
+      for ((path, id) <- paths.zipWithIndex)
+        assert(sc.arrays(id).counts == counts.collect { case (`path`, k) => k }.toSet,
+          s"${t.pretty}: array $id ($path) over ${lines.slice(start, start + span).mkString("|")}")
+    }
+    assert(records > 800 && nested > 80, s"records $records, with nested arrays $nested")
   }
 }

@@ -19,20 +19,21 @@ class MdlSpec extends AnyFunSuite {
     // comma-free junk line WOULD match it as a single-element array
     val lines = Vector("1,2", "oops,", "3,4")
     val sc = Mdl.scan(csv, lines, 10)
-    assert(sc.records.map(_.start) == Vector(0, 2))
+    assert(sc.recordCount == 2 && sc.firstStart == 0)
     assert(sc.noiseLines == Vector(1))
   }
 
   test("scan: a comma-free line matches the csv array as one element") {
     val sc = Mdl.scan(csv, Vector("justoneblob"), 10)
-    assert(sc.records.length == 1)
+    assert(sc.recordCount == 1)
   }
 
   test("scan is greedy left-to-right with spans") {
     val t = Template(Vector(F, c(':'), F, c('\n'), c('!'), c('\n')))
     val lines = Vector("a:b", "!", "a:c", "!", "x")
     val sc = Mdl.scan(t, lines, 10)
-    assert(sc.records.map(r => (r.start, r.span)) == Vector((0, 2), (2, 2)))
+    // two records of two lines each: lines 0-3, 12 characters with their '\n's
+    assert(sc.recordCount == 2 && sc.firstStart == 0 && sc.recordChars == 12)
     assert(sc.noiseLines == Vector(4))
   }
 
@@ -109,7 +110,7 @@ class MdlSpec extends AnyFunSuite {
     val lines = (0 until 200).map(_ => r.alphanumeric.take(30).mkString).toVector
     val fOnly = Template(Vector(F, c('\n')))
     val sc = Mdl.scan(fOnly, lines, 10)
-    assert(sc.records.length == 200)
+    assert(sc.recordCount == 200)
     assert(Mdl.score(fOnly, sc) > Mdl.noiseBaseline(lines))
   }
 

@@ -10,47 +10,48 @@ class RefineSpec extends AnyFunSuite {
   private val csvArr = Template(Vector(TArray(Vector(F), ',', '\n')))
 
   test("unfoldCandidates proposes the full unfold for a constant count") {
-    val cands = Refine.unfoldCandidates(csvArr, Map("a0" -> Set(3)))
+    val cands = Refine.unfoldCandidates(csvArr, Vector(Set(3)))
     val pretties = cands.map(_.pretty)
     assert(pretties.contains("F,F,F\\n"))
   }
 
   test("unfoldCandidates proposes one candidate per observed count") {
-    val cands = Refine.unfoldCandidates(csvArr, Map("a0" -> Set(2, 4)))
+    val cands = Refine.unfoldCandidates(csvArr, Vector(Set(2, 4)))
     val pretties = cands.map(_.pretty)
     assert(pretties.contains("F,F\\n"))
     assert(pretties.contains("F,F,F,F\\n"))
   }
 
   test("unfoldCandidates proposes partial unfold when min count >= 2") {
-    val cands = Refine.unfoldCandidates(csvArr, Map("a0" -> Set(3, 5)))
+    val cands = Refine.unfoldCandidates(csvArr, Vector(Set(3, 5)))
     assert(cands.map(_.pretty).contains("F,(F,)*F\\n"))
   }
 
   test("unfoldCandidates offers no partial unfold when some record has 1 element") {
-    val cands = Refine.unfoldCandidates(csvArr, Map("a0" -> Set(1, 3)))
+    val cands = Refine.unfoldCandidates(csvArr, Vector(Set(1, 3)))
     assert(!cands.map(_.pretty).contains("F,(F,)*F\\n"))
   }
 
   test("unfoldCandidates recurses into nested arrays") {
     val t = Template(Vector(TArray(Vector(TArray(Vector(F), '.', ';')), ',', '\n')))
-    val cands = Refine.unfoldCandidates(t, Map("a0" -> Set(2), "a0.a0" -> Set(2)))
+    // array ids 0 and 1 are "a0" and "a0.a0"
+    val cands = Refine.unfoldCandidates(t, Vector(Set(2), Set(2)))
     assert(cands.nonEmpty)
     // at least one candidate unfolds the inner array
     assert(cands.exists(_.pretty.contains("F.F")))
   }
 
-  test("observedCounts collects per-path counts from a scan") {
+  test("a scan's array summaries hold each array id's observed counts") {
     val lines = Vector("1,2", "3,4,5")
     val sc = Mdl.scan(csvArr, lines, 10)
-    assert(Refine.observedCounts(sc) == Map("a0" -> Set(2, 3)))
+    assert(sc.arrays.map(_.counts) == Vector(Set(2, 3)))
   }
 
   test("refine unfolds a fixed-width csv into a struct") {
     val lines = (0 until 200).map(i => s"$i,${i % 4},${(i * 13) % 97}").toVector
-    val (t, sc, _) = Refine.refine(csvArr, lines, 10)
+    val (t, sc, _) = Refine.refine(csvArr, lines, 10, 0.0, Double.MaxValue)
     assert(t.pretty == "F,F,F\\n", t.pretty)
-    assert(sc.records.length == 200)
+    assert(sc.recordCount == 200)
   }
 
   test("refine keeps the array when column count truly varies") {
@@ -60,7 +61,7 @@ class RefineSpec extends AnyFunSuite {
     val lines = (0 until 200).map { i =>
       (0 until 2 + r.nextInt(5)).map(_ => r.nextInt(100).toString).mkString(",")
     }.toVector
-    val (t, _, _) = Refine.refine(csvArr, lines, 10)
+    val (t, _, _) = Refine.refine(csvArr, lines, 10, 0.0, Double.MaxValue)
     assert(t.pretty.contains("(F,)*F"), t.pretty)
   }
 
@@ -72,7 +73,7 @@ class RefineSpec extends AnyFunSuite {
         (0 until 2 + r.nextInt(5)).map(_ => word()).mkString(" ")
     }.toVector
     val arr = Template(Vector(TArray(Vector(F), ' ', '\n')))
-    val (t, _, scoreRefined) = Refine.refine(arr, lines, 10)
+    val (t, _, scoreRefined) = Refine.refine(arr, lines, 10, 0.0, Double.MaxValue)
     val scPlain = Mdl.scan(arr, lines, 10)
     val scorePlain = Mdl.score(arr, scPlain)
     assert(scoreRefined <= scorePlain)
@@ -95,8 +96,8 @@ class RefineSpec extends AnyFunSuite {
     val lines = (0 until 120).flatMap(i => Vector(s"H=h$i", s"v:${i % 9}")).toVector
     val shifted = Template(Vector(
       c('v'), c(':'), F, c('\n'), c('H'), c('='), F, c('\n')))
-    val (t, sc, _) = Refine.refine(shifted, lines, 10)
-    assert(sc.records.head.start == 0, s"refined=${t.pretty} first=${sc.records.head.start}")
+    val (t, sc, _) = Refine.refine(shifted, lines, 10, 0.0, Double.MaxValue)
+    assert(sc.firstStart == 0, s"refined=${t.pretty} first=${sc.firstStart}")
     assert(t.pretty.startsWith("H="), t.pretty)
   }
 }

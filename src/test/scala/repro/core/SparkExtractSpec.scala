@@ -118,6 +118,21 @@ class SparkExtractSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
   }
 
+  test("a deserialized template compiles its own parse program and parses") {
+    // the extraction closures capture the templates, and every task
+    // deserializes its copies
+    val t = Template(Vector(F, c(','), TArray(Vector(F), ';', '\n')))
+    val lines = Vector("a,b;c", "x")
+    assert(t.program.parse(lines, 0, 1, new ParseBuffer) == 1)
+    val out = new java.io.ByteArrayOutputStream
+    new java.io.ObjectOutputStream(out).writeObject(t)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(out.toByteArray))
+      .readObject().asInstanceOf[Template]
+    assert(copy == t && (copy.program ne t.program))
+    assert(Datamaran.extract(lines, Vector(copy), 10) == Datamaran.extract(lines, Vector(t), 10))
+    assert(Datamaran.extract(lines, Vector(copy), 10).map(_.start) == Vector(0))
+  }
+
   test("array child tables carry (record_id, ord) keys") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F), ',', '\n')))
     val lines = Vector("h a,b,c", "h x,y", "junk junk junk?")
