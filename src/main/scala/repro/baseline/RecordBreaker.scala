@@ -22,8 +22,8 @@ import repro.core._
   * template machinery for the shared parts isolates the comparison to the
   * assumptions themselves, which is the paper's claim.
   *
-  * `minCoverage` mirrors RecordBreaker's MinCoverage knob: groups below the
-  * threshold are not reported as structures (their lines are left
+  * [[MinCoverage]] mirrors RecordBreaker's MinCoverage knob: groups below
+  * the threshold are not reported as structures (their lines are left
   * unexplained), matching its behaviour of discarding low-support branches.
   */
 object RecordBreaker {
@@ -38,7 +38,9 @@ object RecordBreaker {
   /** The fixed lexer's RT-CharSet: all special characters (Assumption 5). */
   val FixedCharSet: Set[Char] = Chars.Candidates
 
-  def run(lines: IndexedSeq[String], minCoverage: Double = 0.02): RbResult = {
+  val MinCoverage = 0.02
+
+  def run(lines: IndexedSeq[String]): RbResult = {
     val byCanon = scala.collection.mutable.LinkedHashMap
       .empty[String, scala.collection.mutable.ArrayBuffer[Int]]
     val unexplained = Vector.newBuilder[Int]
@@ -50,7 +52,7 @@ object RecordBreaker {
           unexplained += i // blank or field-less line
       }
     }
-    val thresh = math.max(1.0, minCoverage * lines.length)
+    val thresh = math.max(1.0, MinCoverage * lines.length)
     val structs = Vector.newBuilder[RbStruct]
     for ((canon, idxs) <- byCanon) {
       if (idxs.length >= thresh)

@@ -40,7 +40,7 @@ final case class Inference(
 )
 
 /** One record of the greedy cover: template index (priority order), first
-  * line, line span, and its parse.
+  * line, line span, and its table rows and top-level items.
   */
 final case class RecordInstance(typeIdx: Int, start: Int, span: Int, parsed: Parsed)
 
@@ -218,7 +218,7 @@ object Datamaran {
 
     def exit: Int = i
 
-    /** The remaining records with their segment trees. */
+    /** The remaining records with their rows and top-level items. */
     def records: Iterator[RecordInstance] =
       Iterator.continually(advance()).takeWhile(identity).map { _ =>
         RecordInstance(typeIdx, start, span, programs(typeIdx).parsed(lines, parse))

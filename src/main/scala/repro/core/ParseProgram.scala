@@ -1,34 +1,18 @@
 package repro.core
 
-/** One piece of a parsed record, in template order.
-  *
-  * The evaluation criterion (§5.1 / §9.3) and the relational converter both
-  * consume this stream. For records of the same template the *shape* of the
-  * stream (kinds and paths) is identical; only values and array element
-  * counts differ.
+import scala.collection.immutable.{ArraySeq, VectorBuilder}
+import Relational.TableRow
+
+/** A top-level item of a parsed record, as the §9.3 judge reads it: its
+  * kind ("L:," a literal, "F:f2" a field, "A:a1" an array, whose terminator
+  * follows as a literal) and the raw text it covers.
   */
-sealed trait Seg extends Serializable {
-  /** Raw text covered by this segment. */
-  def text: String
-}
+final case class Seg(kind: String, text: String)
 
-/** A literal formatting character of the template. */
-final case class LitSeg(text: String) extends Seg
-
-/** A field value; `path` identifies the template column (e.g. "f2",
-  * "a1.f0" for a field inside the second top-level element when that
-  * element is an array).
+/** A record's table rows (§3.3, in [[Relational.toRows]] order) and its
+  * top-level items.
   */
-final case class FieldSeg(path: String, text: String) extends Seg
-
-/** A full array instance. `text` covers all elements and separators but NOT
-  * the terminator (the terminator follows as a LitSeg). `elems` holds the
-  * per-element segment streams for relational output.
-  */
-final case class ArraySeg(path: String, text: String, elems: Vector[Vector[Seg]]) extends Seg
-
-/** A record parsed against a template. */
-final case class Parsed(segs: Vector[Seg]) extends Serializable
+final case class Parsed(rows: IndexedSeq[TableRow], segs: Vector[Seg])
 
 /** Where one parse put its fields and arrays, in reusable primitive arrays:
   * per field (column id, line, from, to), in parse order; per array
@@ -99,8 +83,8 @@ final class ParseBuffer {
   * relational output's, §3.3) computed here once: this is the only
   * numbering of a template's columns, arrays and tables. A parse writes
   * only offsets into a [[ParseBuffer]]; the caller reads them after the
-  * parse succeeds, either as a segment tree ([[parsed]]) or folded into
-  * column summaries ([[Mdl.scan]]).
+  * parse succeeds, either as the record's table rows and top-level items
+  * ([[parsed]]) or folded into column summaries ([[Mdl.scan]]).
   *
   * The input is a window of lines (which hold no '\n') read in place, each
   * followed by a virtual '\n'. The parse is deterministic, so over the
@@ -113,6 +97,8 @@ final class ParseBuffer {
 final class ParseProgram private (
     charset: Set[Char],
     code: Array[Int],
+    /** Each op's item by pc; a field's and an array's have no text. */
+    items: Array[Seg],
     /** Path of each column id ("f2", "a1.f0", ...). */
     val columns: Vector[String],
     /** Path of each array id ("a0", "a0.a1", ...). */
@@ -178,34 +164,51 @@ final class ParseProgram private (
     ln - start
   }
 
-  /** The segment tree of the parse in `buf`, made over `lines`. */
+  /** The rows and top-level items of the parse in `buf`, made over
+    * `lines`, in one walk over the program. An element's row takes its slot
+    * when the element opens, before the rows of the arrays inside it.
+    */
   def parsed(lines: IndexedSeq[String], buf: ParseBuffer): Parsed = {
-    var f = 0 // next field of the buffer
-    var a = 0 // next array instance of the buffer
-    def run(from: Int, until: Int): Vector[Seg] = {
-      val out = Vector.newBuilder[Seg]
-      var pc = from
-      while (pc < until) {
-        val op = code(pc)
-        if (op == Lit) { out += LitSegs(code(pc + 1)); pc += 2 }
-        else if (op == Field) {
-          out += FieldSeg(columns(code(pc + 1)), lines(buf.line(f)).substring(buf.from(f), buf.to(f)))
-          f += 1
-          pc += 2
-        } else {
-          val k = 6 * a
-          a += 1
-          val next = code(pc + 2)
-          val elems = Vector.fill(buf.arrays(k + 1))(run(pc + 3, next))
-          out += ArraySeg(arrays(code(pc + 1)),
-            text(lines, buf.arrays(k + 2), buf.arrays(k + 3), buf.arrays(k + 4), buf.arrays(k + 5)), elems)
-          out += LitSegs(code(next + 2))
-          pc = next + 4
-        }
-      }
-      out.result()
+    val rows = new Array[TableRow](1 + Iterator.range(0, buf.arrayCount).map(buf.repetitions).sum)
+    val segs = Vector.newBuilder[Seg]
+    // by depth, the open row (the record's at 0, then the current element's
+    // of each open array) with its slot and ord, and that array's instance
+    // and element index
+    val n = buf.arrayCount + 1
+    val slot, inst, elem = new Array[Int](n)
+    val ord = new Array[String](n)
+    val values = new Array[VectorBuilder[String]](n)
+    ord(0) = ""
+    values(0) = new VectorBuilder[String]
+    var d, f, a, pc = 0 // depth, next field and array instance of the buffer, op
+    var free = 1 // next free row slot
+    def openRow(d: Int, at: Int): Unit = {
+      slot(d) = at
+      ord(d) = if (d == 1) elem(d).toString else s"${ord(d - 1)}.${elem(d)}"
+      values(d) = new VectorBuilder[String]
     }
-    Parsed(run(0, code.length))
+    while (pc < code.length) code(pc) match {
+      case Lit =>
+        if (d == 0) segs += items(pc)
+        pc += 2
+      case Field =>
+        val v = lines(buf.line(f)).substring(buf.from(f), buf.to(f))
+        values(d) += v
+        if (d == 0) segs += Seg(items(pc).kind, v)
+        f += 1; pc += 2
+      case Open =>
+        if (d == 0) segs += Seg(items(pc).kind, arrayText(lines, buf, a))
+        d += 1; inst(d) = a; elem(d) = 0; a += 1
+        openRow(d, free); free += 1; pc += 3
+      case _ => // Next: the element ends
+        val id = buf.arrayId(inst(d))
+        rows(slot(d)) = TableRow(id, arrays(id), ord(d), values(d).result())
+        elem(d) += 1
+        if (elem(d) < buf.repetitions(inst(d))) { openRow(d, free); free += 1; pc = code(pc + 3) }
+        else { d -= 1; if (d == 0) segs += items(pc); pc += 4 }
+    }
+    rows(0) = TableRow(-1, "", "", values(0).result())
+    Parsed(ArraySeq.unsafeWrapArray(rows), segs.result())
   }
 }
 
@@ -222,38 +225,49 @@ object ParseProgram {
     val cols = Vector.newBuilder[String]
     val arrs = Vector.newBuilder[String]
     val owners = Vector.newBuilder[Int]
+    val opItems = scala.collection.mutable.Map.empty[Int, Seg] // by pc
     var nCols = 0
     var nArrs = 0
     def walk(items: Vector[TElem], prefix: String, owner: Int): Unit = {
       var fld = 0
       var arr = 0
       items.foreach {
-        case TChar(c) => code += Lit += c
+        case TChar(c) =>
+          opItems(code.length) = Seg(s"L:$c", c.toString)
+          code += Lit += c
         case TField =>
+          val col = s"${prefix}f$fld"
+          opItems(code.length) = Seg(s"F:$col", "")
           code += Field += nCols
-          cols += s"${prefix}f$fld"
+          cols += col
           owners += owner
           nCols += 1; fld += 1
         case TArray(body, sep, term) =>
           val path = s"${prefix}a$arr"
           arrs += path
           val open = code.length
+          opItems(open) = Seg(s"A:$path", "")
           val id = nArrs
           code += Open += id += -1
           nArrs += 1; arr += 1
           walk(body, s"$path.", id)
           code(open + 2) = code.length
+          opItems(code.length) = Seg(s"L:$term", term.toString)
           code += Next += sep += term += open + 3
       }
     }
     walk(t.items, "", -1)
-    new ParseProgram(t.charset, code.toArray, cols.result(), arrs.result(), owners.result())
+    new ParseProgram(t.charset, code.toArray, Array.tabulate(code.length)(opItems.getOrElse(_, null)),
+      cols.result(), arrs.result(), owners.result())
   }
 
-  private val LitSegs: Array[LitSeg] = Array.tabulate(128)(c => LitSeg(c.toChar.toString))
-
-  /** Text from line `l0`, column `c0` up to line `l1`, column `c1`. */
-  private def text(lines: IndexedSeq[String], l0: Int, c0: Int, l1: Int, c1: Int): String =
+  /** The text of array instance `k` of `buf`: from its first element up to
+    * its terminator.
+    */
+  private def arrayText(lines: IndexedSeq[String], buf: ParseBuffer, k: Int): String = {
+    val at = buf.arrays
+    val (l0, c0, l1, c1) = (at(6 * k + 2), at(6 * k + 3), at(6 * k + 4), at(6 * k + 5))
     if (l0 == l1) lines(l0).substring(c0, c1)
     else lines.slice(l0, l1).mkString("", "\n", "\n").substring(c0) + lines(l1).substring(0, c1)
+  }
 }

@@ -29,30 +29,14 @@ object Relational {
     }
   }
 
-  /** Rows of one record: table path -> rows. The root table has one row of
-    * `cols` values; each array table has one row per element with key
-    * (ord = dotted index path) prepended by the caller.
+  /** One output row: the array id and path of its table (-1 and "" for the
+    * root), the dotted element-index path (ord) of an array row, and the
+    * table's columns.
     */
-  final case class TableRow(path: String, ord: String, values: Vector[String])
+  final case class TableRow(table: Int, path: String, ord: String, values: Vector[String])
 
-  def toRows(parsed: Parsed): Vector[TableRow] = {
-    val out = Vector.newBuilder[TableRow]
-    def walk(segs: Vector[Seg], path: String, ord: String): Unit = {
-      val fields = Vector.newBuilder[String]
-      segs.foreach {
-        case FieldSeg(_, v) => fields += v
-        case _              => ()
-      }
-      out += TableRow(path, ord, fields.result())
-      segs.foreach {
-        case ArraySeg(apath, _, elems) =>
-          elems.zipWithIndex.foreach { case (es, i) =>
-            walk(es, apath, if (ord.isEmpty) i.toString else s"$ord.$i")
-          }
-        case _ => ()
-      }
-    }
-    walk(parsed.segs, "", "")
-    out.result()
-  }
+  /** A record's rows: the root row, then each element's row before the rows
+    * of the arrays inside it.
+    */
+  def toRows(parsed: Parsed): IndexedSeq[TableRow] = parsed.rows
 }

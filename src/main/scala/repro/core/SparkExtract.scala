@@ -89,12 +89,10 @@ object SparkExtract {
     for (pid <- 1 until exits.length)
       entries(pid) = exits(pid - 1)(entries(pid - 1)) - counts(pid - 1)
 
-    // output table k is template tid's schema j, numbered over templates × schemas
+    // output table k is template tid's schema j, numbered over templates × schemas;
+    // a row of array table t (-1 for the root) is schema t + 1
     val schemas = templates.map(Relational.schemas)
     val firstSlot = schemas.scanLeft(0)(_ + _.length)
-    val slot: Vector[Map[String, Int]] = schemas.zipWithIndex.map { case (ss, tid) =>
-      ss.zipWithIndex.map { case (s, j) => s.path -> (firstSlot(tid) + j) }.toMap
-    }
     val blocks: RDD[Block] = lines.mapPartitionsWithIndex { (pid, it) =>
       val base = offsets(pid)
       val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
@@ -104,13 +102,13 @@ object SparkExtract {
         val start: java.lang.Long = base + r.start
         val span: java.lang.Integer = r.span
         recordRows += new GenericRow(Array[Any](r.typeIdx, start, span))
-        Relational.toRows(r.parsed).foreach { tr =>
+        r.parsed.rows.foreach { tr =>
           val row = new Array[Any](2 + tr.values.length)
           row(0) = start
           // the root table is keyed (record_id, span), an array table (record_id, ord)
-          row(1) = if (tr.path.isEmpty) span else tr.ord
+          row(1) = if (tr.table < 0) span else tr.ord
           tr.values.copyToArray(row, 2)
-          tableRows(slot(r.typeIdx)(tr.path)) += new GenericRow(row)
+          tableRows(firstSlot(r.typeIdx) + tr.table + 1) += new GenericRow(row)
         }
       }
       Iterator.single(Block(tableRows.map(_.result()), recordRows.result()))

@@ -125,8 +125,9 @@ object Template {
     sb.toString
   }
 
-  /** Inverse of [[encode]]; used to ship templates through Spark closures as
-    * plain strings and by tests.
+  /** Inverse of [[encode]]: the template of a canonical string, for the
+    * code that builds and groups templates by that string (generation,
+    * minimal templates, the RecordBreaker baseline).
     */
   def decode(s: String): Template = {
     var i = 0

@@ -18,12 +18,13 @@ import repro.loggen.{GtDataset, Label}
   *  (b) every intended extraction target can be reconstructed from the
   *      extracted relation with the §9.3 operator set (Concat /
   *      GroupConcat / Trim / Append / DeleteCol / DeleteTable): here,
-  *      a contiguous run of parsed segments — fields used whole, array
-  *      instances as their glued text (GroupConcat+Append), literals as
-  *      constants — whose concatenation equals the target after removing a
-  *      constant prefix/suffix (Trim), with the same run and constants for
-  *      every record of the type. Splitting a column is NOT allowed
-  *      (otherwise the single-blob extraction would trivially pass).
+  *      a contiguous run of a record's top-level items ([[Seg]]) — fields
+  *      used whole, array instances as their glued text
+  *      (GroupConcat+Append), literals as constants — whose concatenation
+  *      equals the target after removing a constant prefix/suffix (Trim),
+  *      with the same run and constants for every record of the type.
+  *      Splitting a column is NOT allowed (otherwise the single-blob
+  *      extraction would trivially pass).
   */
 object Criteria {
 
@@ -48,7 +49,7 @@ object Criteria {
       }
     }
     val blob = res.unexplained.map { i =>
-      EvalRecord("rb-catchall", i, i, Vector(FieldSeg("f0", lines(i)), LitSeg("\n")))
+      EvalRecord("rb-catchall", i, i, Vector(Seg("F:f0", lines(i)), Seg("L:\n", "\n")))
     }
     (structured ++ blob).sortBy(_.start)
   }
@@ -97,7 +98,7 @@ object Criteria {
     if (ok) {
       for ((tn, rs) <- gt.records.groupBy(_.typeName)) {
         val pairs = rs.map(r => (bySpan((r.start, r.end)).segs, r.targets.toMap))
-        val shapes = pairs.map(_._1.map(segKind)).distinct
+        val shapes = pairs.map(_._1.map(_.kind)).distinct
         if (shapes.length > 1) {
           ok = false
           reasons += s"type $tn: segment shapes differ across records"
@@ -119,12 +120,6 @@ object Criteria {
       }
     }
     Judgement(ok, reasons.result())
-  }
-
-  private def segKind(s: Seg): String = s match {
-    case LitSeg(t)        => s"L:$t"
-    case FieldSeg(p, _)   => s"F:$p"
-    case ArraySeg(p, _, _) => s"A:$p"
   }
 
   /** Is there a contiguous segment run [a..b] and constants (d0, d1) such

@@ -37,7 +37,7 @@ class RecordBreakerSpec extends AnyFunSuite {
 
   test("low-support lines fall into the catch-all") {
     val lines = (0 until 99).map(i => s"$i,$i").toVector :+ "??weird??line!!"
-    val res = RecordBreaker.run(lines, minCoverage = 0.02)
+    val res = RecordBreaker.run(lines)
     assert(res.unexplained == Vector(99))
   }
 
@@ -51,7 +51,7 @@ class RecordBreakerSpec extends AnyFunSuite {
     val lines = (0 until 50).map(i => s"$i|x$i").toVector
     val res = RecordBreaker.run(lines)
     val parsed = RecordBreaker.parseLine(res.structs.head, lines(7))
-    assert(ParsedFields(parsed).map(_._2) == Vector("7", "x7"))
+    assert(parsed.rows == Vector(Relational.TableRow(-1, "", "", Vector("7", "x7"))))
   }
 
   test("constant-count arrays are unfolded into structs (Fisher's rule)") {

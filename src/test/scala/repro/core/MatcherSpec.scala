@@ -4,10 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropHelpers.samples
 
-/** The LL(1) parse program: parsing, segment streams, spans, and the
-  * column and array ids that name the relational tables.
+/** The LL(1) parse program: parsing, table rows and top-level items,
+  * spans, and the column and array ids that name the relational tables.
   */
 class MatcherSpec extends AnyFunSuite {
+  import MatcherSpec._
 
   private val F = TField
   private def c(ch: Char) = TChar(ch)
@@ -22,14 +23,13 @@ class MatcherSpec extends AnyFunSuite {
 
   test("csv array template extracts elements in order") {
     val p = ParseRecord(csv, "x,y,z\n").get
-    val arr = p.segs.collectFirst { case a: ArraySeg => a }.get
-    assert(arr.elems.map(_.collectFirst { case f: FieldSeg => f.text }.get) == Vector("x", "y", "z"))
-    assert(arr.text == "x,y,z")
+    assert(p.rows.tail.map(_.values) == Vector(Vector("x"), Vector("y"), Vector("z")))
+    assert(p.segs.head == Seg("A:a0", "x,y,z"))
   }
 
   test("array terminator is emitted as a following literal segment") {
     val p = ParseRecord(csv, "x,y\n").get
-    assert(p.segs.last == LitSeg("\n"))
+    assert(p.segs.last == Seg("L:\n", "\n"))
   }
 
   test("quoted csv template matches records with and without inner commas") {
@@ -71,14 +71,12 @@ class MatcherSpec extends AnyFunSuite {
     val t = Template(Vector(TArray(Vector(TArray(Vector(F), '.', ';')), ',', '\n')))
     val p = ParseRecord(t, "1.2;,3.4.5;\n")
     assert(p.isDefined)
-    val outer = p.get.segs.collectFirst { case a: ArraySeg => a }.get
-    assert(outer.elems.length == 2)
+    assert(p.get.rows.count(_.path == "a0") == 2)
   }
 
   test("field paths are stable and hierarchical") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F, c(':'), F), ',', '\n')))
-    val p = ParseRecord(t, "h a:1,b:2\n").get
-    val paths = ParsedFields(p).map(_._1)
+    val paths = ParsedFields(t, "h a:1,b:2\n").get.map(_._1)
     assert(paths == Vector("f0", "a0.f0", "a0.f1", "a0.f0", "a0.f1"))
   }
 
@@ -92,7 +90,7 @@ class MatcherSpec extends AnyFunSuite {
     // ',' and '|' sit in the two halves of the 128-bit formatting mask
     val t = Template(Vector(F, c(','), F, c('|'), F, c('\n')))
     for (ch <- '\u0080' to '\uffff') {
-      val fields = ParseRecord(t, s"a${ch}b,$ch|$ch$ch\n").map(ParsedFields(_).map(_._2))
+      val fields = ParsedFields(t, s"a${ch}b,$ch|$ch$ch\n").map(_.map(_._2))
       assert(fields.contains(Vector(s"a${ch}b", s"$ch", s"$ch$ch")), f"U+${ch.toInt}%04X")
     }
   }
@@ -103,20 +101,8 @@ class MatcherSpec extends AnyFunSuite {
       .mkString(",") + "\n"
     val p = ParseRecord(t, rec).get
     assert(ParseRecord.text(p) == rec)
-    assert(arrayCounts(p).length == 61 && ParsedFields(p).length == (0 until 60).map(_ % 7 + 1).sum)
-  }
-
-  /** Repetition count of each array instance of a parse, keyed by array
-    * path, in template order (nested arrays contribute too).
-    */
-  private def arrayCounts(p: Parsed): Vector[(String, Int)] = {
-    val out = Vector.newBuilder[(String, Int)]
-    def walk(ss: Vector[Seg]): Unit = ss.foreach {
-      case ArraySeg(path, _, els) => out += (path -> els.length); els.foreach(walk)
-      case _                      => ()
-    }
-    walk(p.segs)
-    out.result()
+    val fields = (0 until 60).map(_ % 7 + 1).sum
+    assert(p.rows.length == 1 + 60 + fields && ParsedFields(t, rec).get.length == fields)
   }
 
   /** The span's parse must be the parse of the joined span text. */
@@ -179,9 +165,9 @@ class MatcherSpec extends AnyFunSuite {
       val t = Template(items)
       // skip ambiguous cases where a value contains a template charset char
       if (!vals.exists(v => v.exists(t.charset))) {
-        val p = ParseRecord(t, text)
+        val p = ParsedFields(t, text)
         assert(p.isDefined, s"${t.pretty} should match ${text.trim}")
-        assert(ParsedFields(p.get).map(_._2) == vals)
+        assert(p.get.map(_._2) == vals)
         checked += 1
       }
     }
@@ -192,14 +178,14 @@ class MatcherSpec extends AnyFunSuite {
 
   /** The string parser the line-window matcher replaced: `text` (with its
     * trailing '\n') must be consumed whole. It shares no code with
-    * [[ParseProgram]], so the property below also guards the segment texts.
+    * [[ParseProgram]], so the property below also guards the item texts.
     */
-  private def refParse(t: Template, text: String): Option[Parsed] = {
+  private def refTree(t: Template, text: String): Option[Vector[RefSeg]] = {
     val stop = t.charset
     var pos = 0
     val n = text.length
-    def items(its: Vector[TElem], prefix: String): Option[Vector[Seg]] = {
-      val out = Vector.newBuilder[Seg]
+    def items(its: Vector[TElem], prefix: String): Option[Vector[RefSeg]] = {
+      val out = Vector.newBuilder[RefSeg]
       var idx = 0
       var arrIdx = 0
       var fldIdx = 0
@@ -207,19 +193,19 @@ class MatcherSpec extends AnyFunSuite {
         its(idx) match {
           case TChar(ch) =>
             if (pos >= n || text.charAt(pos) != ch) return None
-            out += LitSeg(ch.toString)
+            out += RefLit(ch.toString)
             pos += 1
           case TField =>
             val from = pos
             while (pos < n && !stop.contains(text.charAt(pos))) pos += 1
             if (pos == from) return None
-            out += FieldSeg(s"${prefix}f$fldIdx", text.substring(from, pos))
+            out += RefField(s"${prefix}f$fldIdx", text.substring(from, pos))
             fldIdx += 1
           case TArray(body, sep, term) =>
             val apath = s"${prefix}a$arrIdx"
             arrIdx += 1
             val from = pos
-            val elems = Vector.newBuilder[Vector[Seg]]
+            val elems = Vector.newBuilder[Vector[RefSeg]]
             var done = false
             while (!done) {
               items(body, s"$apath.") match {
@@ -231,15 +217,55 @@ class MatcherSpec extends AnyFunSuite {
               else if (text.charAt(pos) == term) done = true
               else return None
             }
-            out += ArraySeg(apath, text.substring(from, pos), elems.result())
-            out += LitSeg(term.toString)
+            out += RefArray(apath, text.substring(from, pos), elems.result())
+            out += RefLit(term.toString)
             pos += 1
         }
         idx += 1
       }
       Some(out.result())
     }
-    items(t.items, "").filter(_ => pos == n).map(Parsed(_))
+    items(t.items, "").filter(_ => pos == n)
+  }
+
+  /** A reference tree as a [[Parsed]], without the program: the rows by a
+    * walk that emits a node's row before its arrays' rows, with table ids
+    * numbered from [[preOrderArrays]], and the top-level items.
+    */
+  private def refParsed(t: Template, tree: Vector[RefSeg]): Parsed = {
+    val tables = preOrderArrays(t.items, "").zipWithIndex.toMap
+    val rows = Vector.newBuilder[Relational.TableRow]
+    def walk(segs: Vector[RefSeg], table: Int, path: String, ord: String): Unit = {
+      rows += Relational.TableRow(table, path, ord, segs.collect { case RefField(_, v) => v })
+      segs.foreach {
+        case RefArray(apath, _, elems) =>
+          elems.zipWithIndex.foreach { case (es, i) =>
+            walk(es, tables(apath), apath, if (ord.isEmpty) i.toString else s"$ord.$i")
+          }
+        case _ => ()
+      }
+    }
+    walk(tree, -1, "", "")
+    Parsed(rows.result(), tree.map {
+      case RefLit(s)         => Seg(s"L:$s", s)
+      case RefField(p, s)    => Seg(s"F:$p", s)
+      case RefArray(p, s, _) => Seg(s"A:$p", s)
+    })
+  }
+
+  private def refParse(t: Template, text: String): Option[Parsed] = refTree(t, text).map(refParsed(t, _))
+
+  /** Repetition count of each array instance of a reference tree, keyed by
+    * array path, in template order (nested arrays contribute too).
+    */
+  private def arrayCounts(tree: Vector[RefSeg]): Vector[(String, Int)] = {
+    val out = Vector.newBuilder[(String, Int)]
+    def walk(ss: Vector[RefSeg]): Unit = ss.foreach {
+      case RefArray(path, _, els) => out += (path -> els.length); els.foreach(walk)
+      case _                      => ()
+    }
+    walk(tree)
+    out.result()
   }
 
   private def joined(lines: Vector[String], start: Int, span: Int): String =
@@ -323,7 +349,7 @@ class MatcherSpec extends AnyFunSuite {
       for ((span, p) <- got) {
         matches += 1
         if (!t.fixedLineSpan && span > 1) variableSpan += 1
-        if (p.segs.exists { case a: ArraySeg => a.text.contains('\n'); case _ => false })
+        if (p.segs.exists(s => s.kind.startsWith("A:") && s.text.contains('\n')))
           multiLineArrays += 1
       }
       if (maxSpan == L) for (s <- 1 to math.min(L, lines.length - start)) {
@@ -349,12 +375,14 @@ class MatcherSpec extends AnyFunSuite {
     for ((t, lines) <- samples(genCase, 1000); start <- lines.indices;
          (span, p) <- ParseRecord.smallestSpanAt(t, lines, start, 6)) {
       records += 1
-      val schemas = Relational.schemas(t).map(s => s.path -> s.cols.length).toMap
-      for (row <- Relational.toRows(p))
-        assert(schemas.get(row.path).contains(row.values.length), s"${t.pretty}: row $row vs $schemas")
+      val schemas = Relational.schemas(t)
+      for (row <- Relational.toRows(p)) {
+        val s = schemas(row.table + 1)
+        assert(s.path == row.path && s.cols.length == row.values.length, s"${t.pretty}: row $row vs $s")
+      }
       val paths = preOrderArrays(t.items, "")
       if (paths.exists(_.contains('.'))) nested += 1
-      val counts = arrayCounts(p)
+      val counts = arrayCounts(refTree(t, joined(lines, start, span)).get)
       val sc = Mdl.scan(t, lines.slice(start, start + span), span)
       assert(sc.recordCount == 1 && sc.arrays.length == paths.length, t.pretty)
       for ((path, id) <- paths.zipWithIndex)
@@ -363,4 +391,15 @@ class MatcherSpec extends AnyFunSuite {
     }
     assert(records > 800 && nested > 80, s"records $records, with nested arrays $nested")
   }
+}
+
+object MatcherSpec {
+
+  /** The reference parse as a tree: a template item per node, an array's
+    * elements as its children.
+    */
+  private sealed trait RefSeg { def text: String }
+  private final case class RefLit(text: String) extends RefSeg
+  private final case class RefField(path: String, text: String) extends RefSeg
+  private final case class RefArray(path: String, text: String, elems: Vector[Vector[RefSeg]]) extends RefSeg
 }

@@ -1,17 +1,12 @@
 package repro.core
 
-/** Every field of a parse as (path, value), in template order with arrays
-  * flattened.
+/** Every field of `text` as one record of `t`, as (column path, value) in
+  * parse order (arrays flattened), read from the parse buffer.
   */
 object ParsedFields {
-  def apply(p: Parsed): Vector[(String, String)] = {
-    val out = Vector.newBuilder[(String, String)]
-    def walk(ss: Vector[Seg]): Unit = ss.foreach {
-      case FieldSeg(path, text) => out += (path -> text)
-      case a: ArraySeg          => a.elems.foreach(walk)
-      case _: LitSeg            => ()
+  def apply(t: Template, text: String): Option[Vector[(String, String)]] =
+    ParseRecord.whole(t, text).map { case (lines, buf) =>
+      Vector.tabulate(buf.fieldCount)(k =>
+        t.program.columns(buf.column(k)) -> lines(buf.line(k)).substring(buf.from(k), buf.to(k)))
     }
-    walk(p.segs)
-    out.result()
-  }
 }

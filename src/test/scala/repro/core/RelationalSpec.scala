@@ -29,17 +29,17 @@ class RelationalSpec extends AnyFunSuite {
   test("toRows: root row carries struct fields in order") {
     val t = Template(Vector(F, c(','), F, c('\n')))
     val p = ParseRecord(t, "x,y\n").get
-    assert(Relational.toRows(p) == Vector(Relational.TableRow("", "", Vector("x", "y"))))
+    assert(Relational.toRows(p) == Vector(Relational.TableRow(-1, "", "", Vector("x", "y"))))
   }
 
   test("toRows: array elements become child rows with ordinal") {
     val t = Template(Vector(F, c(' '), TArray(Vector(F, c(':'), F), ',', '\n')))
     val p = ParseRecord(t, "h a:1,b:2\n").get
     val rows = Relational.toRows(p)
-    assert(rows.head == Relational.TableRow("", "", Vector("h")))
+    assert(rows.head == Relational.TableRow(-1, "", "", Vector("h")))
     assert(rows.tail == Vector(
-      Relational.TableRow("a0", "0", Vector("a", "1")),
-      Relational.TableRow("a0", "1", Vector("b", "2"))
+      Relational.TableRow(0, "a0", "0", Vector("a", "1")),
+      Relational.TableRow(0, "a0", "1", Vector("b", "2"))
     ))
   }
 

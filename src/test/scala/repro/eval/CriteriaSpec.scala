@@ -7,8 +7,8 @@ import repro.loggen._
 /** The §5.1/§9.3 success criterion, including the Figure 13 examples. */
 class CriteriaSpec extends AnyFunSuite {
 
-  private def fs(p: String, v: String) = FieldSeg(p, v)
-  private def lit(s: String) = LitSeg(s)
+  private def fs(p: String, v: String) = Seg(s"F:$p", v)
+  private def lit(s: String) = Seg(s"L:$s", s)
 
   // ---- reconstructible
 
@@ -61,8 +61,7 @@ class CriteriaSpec extends AnyFunSuite {
   }
 
   test("array segments reconstruct glued targets (GroupConcat)") {
-    def arr(vals: Vector[String]) =
-      ArraySeg("a0", vals.mkString(" "), vals.map(v => Vector(fs("a0.f0", v))))
+    def arr(vals: Vector[String]) = Seg("A:a0", vals.mkString(" "))
     val recs = Vector(
       (Vector(lit("msg: "), arr(Vector("hello", "there")), lit("\n")), "hello there"),
       (Vector(lit("msg: "), arr(Vector("one", "two", "three")), lit("\n")), "one two three"))
