@@ -21,6 +21,7 @@ class AssumptionChartBench extends AnyFunSuite {
     assert(dmCtrl && rbCtrl, "both systems must handle the control dataset")
     def row(a: String) = rows.find(_.assumption == a).get
     assert(row("Coverage Threshold").dmNeedsIt, "DM enforces the alpha threshold")
+    assert(!row("Coverage Threshold").rbNeedsIt, "RB reports the probe's type as one struct")
     assert(row("Boundary").rbNeedsIt && !row("Boundary").dmNeedsIt)
     assert(row("Tokenization").rbNeedsIt && !row("Tokenization").dmNeedsIt)
   }

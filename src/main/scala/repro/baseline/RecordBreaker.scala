@@ -41,24 +41,19 @@ object RecordBreaker {
   val MinCoverage = 0.02
 
   def run(lines: IndexedSeq[String]): RbResult = {
-    val byCanon = scala.collection.mutable.LinkedHashMap
-      .empty[String, scala.collection.mutable.ArrayBuffer[Int]]
-    val unexplained = Vector.newBuilder[Int]
-    lines.indices.foreach { i =>
-      TemplateOps.minimalTemplate(lines(i) + "\n", FixedCharSet) match {
-        case Some(t) =>
-          byCanon.getOrElseUpdate(t.canonical, scala.collection.mutable.ArrayBuffer.empty) += i
-        case None =>
-          unexplained += i // blank or field-less line
-      }
-    }
+    val templates = new TemplateOps.LineTemplates
+    val ids = lines.map(l => TemplateOps.LineTemplates.id(templates.reduceLine(l, FixedCharSet.contains)))
     val thresh = math.max(1.0, MinCoverage * lines.length)
     val structs = Vector.newBuilder[RbStruct]
-    for ((canon, idxs) <- byCanon) {
-      if (idxs.length >= thresh)
-        structs += RbStruct(structOrArray(Template.decode(canon), idxs, lines), idxs.toVector)
-      else
+    val unexplained = Vector.newBuilder[Int]
+    // ids number the line templates in the order their first lines occur
+    for ((id, idxs) <- lines.indices.groupBy(ids).toVector.sortBy(_._1)) {
+      val items = templates.items(id)
+      // blank and field-less lines, overlong lines and low-support groups
+      if (!templates.hasField(id) || items.length > TemplateOps.MaxTemplateItems || idxs.length < thresh)
         unexplained ++= idxs
+      else
+        structs += RbStruct(structOrArray(Template(items), idxs, lines), idxs.toVector)
     }
     RbResult(structs.result(), unexplained.result().sorted)
   }

@@ -167,18 +167,19 @@ object Generation {
     * per-template coverage in a hash table; keep bins with at least alpha%
     * coverage of the scanned text.
     *
-    * A candidate's canonical template is the concatenation of its lines'
-    * templates, so each start line's spans 1..L extend one path of a trie
-    * over line-template ids; bins are keyed by trie node, and each merges
-    * its unique coverage interval by interval as the scan goes. A canonical
-    * string is built only for the bins that pass the alpha cut.
+    * A candidate's template is the concatenation of its lines' templates,
+    * so each start line's spans 1..L extend one path of a trie over
+    * line-template ids; bins are keyed by trie node, and each merges its
+    * unique coverage interval by interval as the scan goes. A template is
+    * built, from its path's line items, only for the bins that pass the
+    * alpha cut.
     */
   def genST(index: LineIndex, cs: Int, p: DmParams): Vector[TemplateStat] = {
     val t = index.templates
     val packed = index.lineTemplates(cs)
     val lineId = packed.map(TemplateOps.LineTemplates.id)
     val lineLiteral = packed.map(TemplateOps.LineTemplates.literalChars)
-    val lineItems = lineId.map(t.items)
+    val lineItems = lineId.map(t.items(_).length)
     val lineField = lineId.map(t.hasField)
     val n = index.nLines
     val pref = index.linePrefix
@@ -215,8 +216,8 @@ object Generation {
         val cov = trie.uniqueCoverage(node)
         if (cov >= thresh) {
           val nfFrac = trie.sumNf(node).toDouble / trie.sumCov(node)
-          val canon = trie.path(node).map(t.encoding).mkString
-          out += TemplateStat(Template.decode(canon), cov, math.round(cov * nfFrac))
+          val items = trie.path(node).iterator.flatMap(t.items).toVector
+          out += TemplateStat(Template(items), cov, math.round(cov * nfFrac))
         }
       }
       node += 1

@@ -54,6 +54,7 @@ object Mdl {
       else t.lineGroups.indices.filter(i => t.lineGroups(i) == Vector(TField, TChar('\n')))
     def lineChars(i: Int): Long = lines(i).length + 1L
     var recordChars = 0L
+    var noiseChars = 0L
     var bareChars = 0L
     var next = 0 // first line after the previous record
     val cover = new Datamaran.Cover(lines, Vector(t), maxSpan, 0, lines.length, _ => false)
@@ -62,7 +63,7 @@ object Mdl {
       val start = cover.start
       if (recordCount == 0) firstStart = start
       recordCount += 1
-      while (next < start) { noise += next; next += 1 }
+      while (next < start) { noise += next; noiseChars += lineChars(next); next += 1 }
       while (next < start + cover.span) { recordChars += lineChars(next); next += 1 }
       for (off <- bare) bareChars += lineChars(start + off)
       var k = 0
@@ -70,41 +71,10 @@ object Mdl {
       k = 0
       while (k < p.arrayCount) { arrays(p.arrayId(k)).add(p.repetitions(k)); k += 1 }
     }
-    while (next < lines.length) { noise += next; next += 1 }
-    val total = lines.iterator.map(_.length + 1L).sum
-    ParseScan(recordCount, firstStart, noise.result(), recordChars, recordChars - bareChars, total,
+    while (next < lines.length) { noise += next; noiseChars += lineChars(next); next += 1 }
+    ParseScan(recordCount, firstStart, noise.result(), recordChars, recordChars - bareChars,
+      recordChars + noiseChars,
       ArraySeq.unsafeWrapArray(columns), ArraySeq.unsafeWrapArray(arrays))
-  }
-
-  /** Field value type with its per-value description cost in bits.
-    * `overheadBits` is the one-off cost of describing the type's parameters
-    * (an enum's value dictionary; an integer's min/max; a real's min/max and
-    * decimal exponent) — charged once per column.
-    */
-  sealed trait FieldType {
-    def bitsPer(v: String): Double
-    def overheadBits: Double
-  }
-  final case class EnumType(nValues: Int, dictBits: Double) extends FieldType {
-    private val bits = math.ceil(log2(math.max(2, nValues)))
-    def bitsPer(v: String): Double = bits
-    def overheadBits: Double = dictBits
-  }
-  final case class IntType(min: Long, max: Long) extends FieldType {
-    private val bits = math.ceil(log2((max - min + 1).toDouble))
-    def bitsPer(v: String): Double = math.max(1.0, bits)
-    // min/max are folded into the model constant as in the paper's scheme
-    def overheadBits: Double = 0.0
-  }
-  final case class RealType(min: Double, max: Double, exp: Int) extends FieldType {
-    private val bits =
-      math.ceil(log2((max - min) * math.pow(10, exp) + 1.0))
-    def bitsPer(v: String): Double = math.max(1.0, bits)
-    def overheadBits: Double = 0.0
-  }
-  case object StrType extends FieldType {
-    def bitsPer(v: String): Double = (v.length + 1) * 8.0
-    def overheadBits: Double = 0.0
   }
 
   private def log2(x: Double): Double = math.log(x) / math.log(2.0)
@@ -159,30 +129,27 @@ object Mdl {
       }
     }
 
-    /** The cheapest applicable type, with the column's total bits under it
-      * (its overhead plus every value's bits). Enum applies when the
-      * distinct count is small relative to the column; ties keep the
-      * earlier of string, enum, integer, real.
+    /** The column's description length in bits under its cheapest
+      * applicable type (§9.2): a string costs 8 bits per character and
+      * its terminator; an enum, applicable when the distinct count is
+      * small relative to the column, costs its value dictionary once plus
+      * ceil(log2(distinct)) bits per value; an integer or a real costs
+      * the bits of its range (for a real, scaled by its largest decimal
+      * exponent) per value, at least 1, with its minimum and maximum
+      * folded into the model constant as in the paper's scheme.
       */
-    def choice: (FieldType, Double) = {
-      if (n == 0) return (StrType, 0.0)
-      val candidates = mutable.ArrayBuffer.empty[(FieldType, Double)]
-      candidates += ((StrType, (totalLen + n) * 8.0))
-      val enumOk = distinct.size <= MaxEnumValues && distinct.size <= math.max(2, n / 4)
-      if (enumOk) {
+    def bits: Double = {
+      if (n == 0) return 0.0
+      var best = (totalLen + n) * 8.0
+      if (distinct.size <= MaxEnumValues && distinct.size <= math.max(2, n / 4)) {
         val dictBits = distinct.iterator.map(v => (v.length + 1) * 8.0).sum
-        val t = EnumType(distinct.size, dictBits)
-        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
+        best = math.min(best, dictBits + n * math.ceil(log2(math.max(2, distinct.size))))
       }
-      if (allInt) {
-        val t = IntType(minI, maxI)
-        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-      }
-      if (allReal) {
-        val t = RealType(minR, maxR, maxExp)
-        candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-      }
-      candidates.minBy(_._2)
+      if (allInt)
+        best = math.min(best, n * math.max(1.0, math.ceil(log2((maxI - minI + 1).toDouble))))
+      if (allReal)
+        best = math.min(best, n * math.max(1.0, math.ceil(log2((maxR - minR) * math.pow(10, maxExp) + 1.0))))
+      best
     }
   }
 
@@ -226,7 +193,7 @@ object Mdl {
   def score(t: Template, sc: ParseScan): Double = {
     var total = t.encodedLength * 8.0 + 32.0
     total += (sc.recordCount + sc.noiseLines.length).toDouble // block flags
-    for (c <- sc.columns) total += c.choice._2
+    for (c <- sc.columns) total += c.bits
     for (a <- sc.arrays) total += a.bits
     total + (sc.totalChars - sc.recordChars) * 8.0 // noise lines
   }

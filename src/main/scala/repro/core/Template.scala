@@ -57,10 +57,12 @@ final case class Template private (items: Vector[TElem]) extends Serializable {
   /** This template compiled for parsing, once per instance. */
   @transient lazy val program: ParseProgram = ParseProgram(this)
 
-  /** Unambiguous canonical encoding — the hash key used by the generation
-    * step's hash-table. Control characters .. cannot occur in
-    * log text (RT-CharSet-Candidate is printable + tab), so the encoding is
-    * injective.
+  /** Unambiguous canonical encoding: the key that templates are
+    * deduplicated, ranked and compared by. It is written and never parsed.
+    * A field is written as '\u0001' and an array as '\u0002', its body,
+    * '\u0003', its separator and its terminator; [[Template.apply]]
+    * refuses these marks as formatting characters, so equal strings mean
+    * equal templates.
     */
   lazy val canonical: String = Template.encode(items)
 
@@ -100,17 +102,23 @@ object Template {
   def apply(items: Vector[TElem]): Template = {
     require(items.nonEmpty, "empty template")
     require(endsLine(items.last), s"template must end a line: ${pretty(items)}")
-    require(ascii(items), s"formatting characters must be ASCII: ${pretty(items)}")
+    require(formatting(items),
+      s"formatting characters must be ASCII and not an encoding mark: ${pretty(items)}")
     new Template(items)
   }
 
   /** True iff every literal, separator and terminator is ASCII, as every
-    * RT-CharSet candidate is; the parse program's 128-bit mask relies on it.
+    * RT-CharSet candidate is (the parse program's 128-bit mask relies on
+    * it), and none is a mark of [[encode]] (the canonical string's
+    * injectivity relies on that).
     */
-  private def ascii(items: Vector[TElem]): Boolean = items.forall {
-    case TChar(c)        => c < 128
-    case TArray(b, x, y) => x < 128 && y < 128 && ascii(b)
-    case TField          => true
+  private def formatting(items: Vector[TElem]): Boolean = {
+    def ok(c: Char) = c < 128 && (c < FieldMark || c > ArrClose)
+    items.forall {
+      case TChar(c)        => ok(c)
+      case TArray(b, x, y) => ok(x) && ok(y) && formatting(b)
+      case TField          => true
+    }
   }
 
   private[core] def encode(items: Vector[TElem]): String = {
@@ -123,35 +131,6 @@ object Template {
     }
     walk(items)
     sb.toString
-  }
-
-  /** Inverse of [[encode]]: the template of a canonical string, for the
-    * code that builds and groups templates by that string (generation,
-    * minimal templates, the RecordBreaker baseline).
-    */
-  def decode(s: String): Template = {
-    var i = 0
-    def walk(stopAtClose: Boolean): Vector[TElem] = {
-      val out = Vector.newBuilder[TElem]
-      var done = false
-      while (!done && i < s.length) {
-        s.charAt(i) match {
-          case FieldMark => out += TField; i += 1
-          case ArrOpen =>
-            i += 1
-            val body = walk(stopAtClose = true)
-            // cursor now just past ArrClose
-            val x = s.charAt(i); val y = s.charAt(i + 1); i += 2
-            out += TArray(body, x, y)
-          case ArrClose =>
-            require(stopAtClose, s"unbalanced array close in ${s}")
-            i += 1; done = true
-          case c => out += TChar(c); i += 1
-        }
-      }
-      out.result()
-    }
-    Template(walk(stopAtClose = false))
   }
 
   private[core] def pretty(items: Vector[TElem]): String = {

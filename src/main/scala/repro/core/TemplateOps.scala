@@ -6,7 +6,8 @@ import scala.collection.mutable
   *
   *  - the record template: under an RT-CharSet, every maximal run of
   *    non-formatting characters is one field (Assumption 2);
-  *    [[LineTemplates.reduceLine]] builds it line by line.
+  *    [[LineTemplates.reduceLine]] builds it line by line, and a
+  *    candidate's template is its lines' templates concatenated.
   *  - [[reduce]]: fold the record template into its *minimal structure
   *    template* by repeatedly rewriting `A x A x … A y` (x, y single
   *    characters, x != y) into the array form `({A}x)*{A}y`. Two records of
@@ -111,9 +112,12 @@ object TemplateOps {
     Vector.from(buf)
   }
 
-  /** Full step-3+4 pipeline: record text + RT-CharSet -> minimal structure
-    * template, or None when the candidate is implausible (too long, or no
-    * field at all — a record with zero fields extracts nothing).
+  /** Interned minimal templates of single lines: steps 3–4 for the
+    * generation step and the RecordBreaker baseline. A candidate record's
+    * minimal template is its lines' reduced items concatenated,
+    * `Template(ids.flatMap(items))`; it is implausible, and discarded, when
+    * it has no field (a record with zero fields extracts nothing) or more
+    * than [[MaxTemplateItems]] items.
     *
     * Reduction is strictly PER LINE: the array form cannot legally span a
     * '\n' boundary anyway (identical '\n'-terminated line repeats would
@@ -121,52 +125,28 @@ object TemplateOps {
     * only ever produced degenerate noise absorbers. Line-wise reduction
     * also makes a k-record concatenation exactly k copies of the
     * single-record template, which the period-reduction canonicalization
-    * then collapses. The generation step relies on the same fact: a
-    * candidate's template is the concatenation of its lines' templates
-    * ([[LineTemplates]]).
-    */
-  def minimalTemplate(text: String, cs: Set[Char]): Option[Template] = {
-    require(text.endsWith("\n"), "a record text ends a line")
-    val lines = new LineTemplates
-    val encoded = new StringBuilder
-    var items = 0
-    var hasField = false
-    var from = 0
-    while (from < text.length) {
-      val nl = text.indexOf('\n', from)
-      val id = LineTemplates.id(lines.reduceLine(text.substring(from, nl), cs.contains))
-      encoded.append(lines.encoding(id))
-      items += lines.items(id)
-      hasField ||= lines.hasField(id)
-      from = nl + 1
-    }
-    if (!hasField || items > MaxTemplateItems) None
-    else Some(Template.decode(encoded.toString))
-  }
-
-  /** Interned minimal templates of single lines. A line's shape — its
-    * record template with every field run collapsed to one mark — is
-    * reduced once per distinct shape. Ids are handed out per distinct
-    * reduced ENCODING, not per shape: "a b" and "a b c" under {' '} have
-    * different shapes but the same minimal template `(F )*F\n`, and must
-    * share an id so that candidates built from them share a hash bin.
-    * Every encoding ends in its only top-level '\n', so concatenations of
-    * line encodings are distinct exactly when the id sequences are.
+    * then collapses.
+    *
+    * A line's shape — its record template with every field run collapsed
+    * to one mark — is reduced once per distinct shape. Ids are handed out
+    * per distinct reduced template, not per shape: "a b" and "a b c" under
+    * {' '} have different shapes but the same minimal template `(F )*F\n`,
+    * and must share an id so that candidates built from them share a hash
+    * bin, and RecordBreaker's lines one struct. Every line template ends in
+    * its only top-level line-ending item, so concatenations of line
+    * templates are equal exactly when their id sequences are.
     */
   final class LineTemplates {
     private val idByShape = mutable.HashMap.empty[String, Int]
     private val idByEncoding = mutable.HashMap.empty[String, Int]
-    private val encodings = mutable.ArrayBuffer.empty[String]
-    private val itemCounts = mutable.ArrayBuffer.empty[Int]
+    private val reduced = mutable.ArrayBuffer.empty[Vector[TElem]]
     private val fields = mutable.ArrayBuffer.empty[Boolean]
-
-    def encoding(id: Int): String = encodings(id)
 
     /** Items of the line's template: the minimal template's, or the raw
       * record template's when that exceeds [[MaxTemplateItems]] (such a
       * line is never reduced; its candidates are discarded).
       */
-    def items(id: Int): Int = itemCounts(id)
+    def items(id: Int): Vector[TElem] = reduced(id)
 
     def hasField(id: Int): Boolean = fields(id)
 
@@ -200,12 +180,10 @@ object TemplateOps {
         case c        => TChar(c)
       }.toVector
       val red = if (raw.length > MaxTemplateItems) raw else reduce(raw)
-      val enc = Template.encode(red)
-      idByEncoding.getOrElseUpdate(enc, {
-        encodings += enc
-        itemCounts += red.length
+      idByEncoding.getOrElseUpdate(Template.encode(red), {
+        reduced += red
         fields += shape.contains('\u0001')
-        encodings.length - 1
+        reduced.length - 1
       })
     }
   }

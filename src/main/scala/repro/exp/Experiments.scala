@@ -236,9 +236,9 @@ object Experiments {
     * §5.2.3's metric; the first type of an exhaustive search that keeps
     * every candidate.
     */
-  def optimalTemplate(gt: GtDataset, alpha: Double, maxSpan: Int): Option[String] =
+  def optimalTemplate(gt: GtDataset, alpha: Double, maxSpan: Int): Option[Template] =
     Datamaran.infer(gt.lines, DmParams(alpha = alpha, maxSpan = maxSpan, topM = Int.MaxValue))
-      .types.headOption.map(_.template.canonical)
+      .types.headOption.map(_.template)
 
   /** Fig 15 (runtime vs M, alpha and L) and Fig 16 (how often the returned
     * structure is the optimal — best-MDL — one) on the first `n` manual
@@ -256,7 +256,7 @@ object Experiments {
         totalMs += inf.timings.searchMs
         val hit = ref match {
           case None    => inf.types.isEmpty
-          case Some(c) => inf.types.headOption.exists(_.template.canonical == c)
+          case Some(t) => inf.types.headOption.exists(_.template == t)
         }
         if (hit) found += 1
       }
@@ -365,16 +365,21 @@ object Experiments {
       DatasetSpec("tok", Label.SNI, Vector(Corpus.dashedType(r) -> 1.0), 600, NoiseSpec.none, 3))
     // Coverage probe: a structured type at ~5% coverage amid noise —
     // DATAMARAN (alpha=10%) must NOT report it; this is the assumption
-    // DATAMARAN adds.
+    // DATAMARAN adds. RecordBreaker handles it when one of its structs is
+    // exactly the type's lines.
     val lowCov = LogSynth.generate(
       DatasetSpec("cov", Label.NS, Vector(Corpus.kvType(r) -> 1.0), 1400, NoiseSpec(0.975, NoiseSpec.messy), 4))
     val dmLowCov = {
       val (inf, recs) = Datamaran.run(lowCov.lines, DmParams())
       recs.nonEmpty && inf.types.nonEmpty
     }
+    val rbLowCov = {
+      val typeLines = lowCov.records.map(_.start)
+      RecordBreaker.run(lowCov.lines).structs.exists(_.lineIdxs == typeLines)
+    }
 
     val rows = Vector(
-      AssumptionRow("Coverage Threshold", "type at ~5% coverage", rbNeedsIt = false, dmNeedsIt = !dmLowCov),
+      AssumptionRow("Coverage Threshold", "type at ~5% coverage", rbNeedsIt = !rbLowCov, dmNeedsIt = !dmLowCov),
       AssumptionRow("Non-overlapping", "(made by both, §3.2)", rbNeedsIt = true, dmNeedsIt = true),
       AssumptionRow("Structural Form", "(made by both, §3.3)", rbNeedsIt = true, dmNeedsIt = true),
       AssumptionRow("Boundary", "multi-line records", rbNeedsIt = !rbOk(boundary), dmNeedsIt = !dmOk(boundary)),

@@ -16,6 +16,16 @@ class RecordBreakerSpec extends AnyFunSuite {
     assert(res.unexplained.isEmpty)
   }
 
+  test("lines of different shapes that reduce to one template share a struct") {
+    // "a b" and "a b c" differ in shape but both reduce to (F )*F\n
+    val lines = (0 until 60).map(i => if (i % 2 == 0) s"a$i b$i" else s"a$i b$i c$i").toVector
+    val res = RecordBreaker.run(lines)
+    assert(res.structs.length == 1)
+    assert(res.structs.head.lineIdxs == lines.indices.toVector)
+    assert(res.structs.head.template.pretty == "(F )*F\\n")
+    assert(res.unexplained.isEmpty)
+  }
+
   test("two interleaved single-line formats give two structs") {
     val lines = (0 until 100).map { i =>
       if (i % 2 == 0) s"$i,${i * 2}" else s"k=v$i"

@@ -111,7 +111,7 @@ class GenerationSpec extends AnyFunSuite {
     val bins = mutable.LinkedHashMap.empty[String, mutable.ArrayBuffer[(Int, Int, Int)]]
     for (i <- lines.indices; span <- 1 to pp.maxSpan if i + span <= lines.length) {
       val text = lines.slice(i, i + span).map(_ + "\n").mkString
-      TemplateOps.minimalTemplate(text, cs).foreach { t =>
+      MinimalTemplate(text, cs).foreach { t =>
         val literal = text.count(c => c == '\n' || cs.contains(c))
         bins.getOrElseUpdate(t.canonical, mutable.ArrayBuffer.empty) += ((i, i + span, literal))
       }

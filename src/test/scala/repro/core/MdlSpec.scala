@@ -43,57 +43,55 @@ class MdlSpec extends AnyFunSuite {
     assert(math.abs(sc.coverage - 4.0 / 10.0) < 1e-9)
   }
 
-  // ---- type inference
+  // ---- type inference: a column costs the bits of its cheapest type
 
-  /** The type `Mdl.scan` chooses for a column of these values. */
-  private def inferType(values: Iterable[String]): Mdl.FieldType = {
+  /** The bits `Mdl.score` charges for a column of these values. */
+  private def columnBits(values: Iterable[String]): Double = {
     val c = new Mdl.ColumnSummary
     values.foreach(v => c.add(v, 0, v.length))
-    c.choice._1
+    c.bits
   }
 
   test("inferType: integer column") {
-    val t = inferType(Seq("1", "42", "999"))
-    assert(t.isInstanceOf[Mdl.IntType])
+    // 1..999 spans 999 values: 10 bits each, below the strings' 72 bits
+    assert(columnBits(Seq("1", "42", "999")) == 3 * 10.0)
   }
 
   test("inferType: integer bit width from range") {
-    val t = inferType(Seq("0", "255")).asInstanceOf[Mdl.IntType]
-    assert(t.bitsPer("0") == 8.0)
+    // 0..255: 8 bits each, below the strings' 48 bits and the 2-value enum's 50
+    assert(columnBits(Seq("0", "255")) == 2 * 8.0)
   }
 
   test("inferType: real column") {
+    // 0.00..67.13 at 2 decimals spans 6714 values: 13 bits each
     val vals = (0 until 50).map(i => f"${i * 1.37}%.2f")
-    val t = inferType(vals)
-    assert(t.isInstanceOf[Mdl.RealType])
+    assert(columnBits(vals) == 50 * 13.0)
   }
 
   test("inferType: small-vocabulary column becomes enum") {
+    // 1 bit per value plus the dictionary "INFO", "WARN" with terminators
     val vals = Vector.fill(100)("INFO") ++ Vector.fill(100)("WARN")
-    val t = inferType(vals)
-    assert(t.isInstanceOf[Mdl.EnumType])
-    assert(t.bitsPer("INFO") == 1.0)
+    assert(columnBits(vals) == 200 * 1.0 + 2 * 5 * 8.0)
   }
 
   test("inferType: open-vocabulary strings stay strings") {
     val r = new scala.util.Random(1)
     val vals = (0 until 300).map(_ => r.alphanumeric.take(8).mkString)
-    assert(inferType(vals) == Mdl.StrType)
+    assert(columnBits(vals) == 300 * 9 * 8.0)
   }
 
   test("inferType: enum dictionary cost is charged") {
     val vals = Vector.fill(4)("abcdefgh") ++ Vector.fill(4)("ijklmnop")
-    // with only 8 values, dictionary (2*9*8=144 bits) + 8 bits > string cost? no:
-    // string cost = 8*9*8 = 576; enum = 144 + 8 = 152 -> enum still wins
-    assert(inferType(vals).isInstanceOf[Mdl.EnumType])
+    // dictionary 2*9*8 = 144 bits + 8 values of 1 bit, below the strings' 576
+    assert(columnBits(vals) == 144.0 + 8.0)
   }
 
   test("inferType: empty column is a string") {
-    assert(inferType(Nil) == Mdl.StrType)
+    assert(columnBits(Nil) == 0.0)
   }
 
   test("string cost counts terminator") {
-    assert(Mdl.StrType.bitsPer("abc") == 32.0)
+    assert(columnBits(Seq("abc")) == 32.0)
   }
 
   // ---- scoring
@@ -148,35 +146,36 @@ class MdlSpec extends AnyFunSuite {
   test("scan pools array elements per column") {
     val sc = Mdl.scan(csv, Vector("1,2,3", "4,5"), 10)
     assert(csv.program.columns == Vector("a0.f0") && sc.columns.length == 1)
-    assert(sc.columns.head.choice._1 == Mdl.IntType(1, 5))
+    // the five elements 1..5 as one integer column: 3 bits each
+    assert(sc.columns.head.bits == 5 * 3.0)
   }
 
   // ---- property: the one-pass summary types a column as the regexes do
 
   /** The typing rule the column summary replaced: two regexes per value
-    * and `String.toLong`/`toDouble`. It shares no code with [[Mdl]].
+    * and `String.toLong`/`toDouble`. It shares no code with [[Mdl]], and
+    * returns the cheapest encoding's name with the column's bits under it;
+    * ties keep the earlier of string, enum, integer, real.
     */
-  private def refChoice(values: Seq[String]): (Mdl.FieldType, Double) = {
+  private def refBits(values: Seq[String]): (String, Double) = {
+    def log2(x: Double) = math.log(x) / math.log(2.0)
     val IntRe = "-?\\d{1,18}".r
     val RealRe = "-?\\d{1,12}\\.\\d{1,9}".r
     val n = values.length.toLong
-    if (n == 0) return (Mdl.StrType, 0.0)
+    if (n == 0) return ("string", 0.0)
     val distinct = values.distinct
-    val candidates = mutable.ArrayBuffer[(Mdl.FieldType, Double)](
-      (Mdl.StrType, values.map(v => (v.length + 1) * 8.0).sum))
-    if (distinct.length <= 256 && distinct.length <= math.max(2, n / 4)) {
-      val t = Mdl.EnumType(distinct.length, distinct.map(v => (v.length + 1) * 8.0).sum)
-      candidates += ((t, t.overheadBits + n * t.bitsPer("")))
-    }
+    val candidates = mutable.ArrayBuffer(("string", values.map(v => (v.length + 1) * 8.0).sum))
+    if (distinct.length <= 256 && distinct.length <= math.max(2, n / 4))
+      candidates += (("enum", distinct.map(v => (v.length + 1) * 8.0).sum +
+        n * math.ceil(log2(math.max(2, distinct.length)))))
     if (values.forall(IntRe.matches)) {
       val xs = values.map(_.toLong)
-      val t = Mdl.IntType(xs.min, xs.max)
-      candidates += ((t, n * t.bitsPer("")))
+      candidates += (("integer", n * math.max(1.0, math.ceil(log2((xs.max - xs.min + 1).toDouble)))))
     }
     if (values.forall(RealRe.matches)) {
       val xs = values.map(_.toDouble)
-      val t = Mdl.RealType(xs.min, xs.max, values.map(v => v.length - v.indexOf('.') - 1).max)
-      candidates += ((t, n * t.bitsPer("")))
+      val exp = values.map(v => v.length - v.indexOf('.') - 1).max
+      candidates += (("real", n * math.max(1.0, math.ceil(log2((xs.max - xs.min) * math.pow(10, exp) + 1.0)))))
     }
     candidates.minBy(_._2)
   }
@@ -217,14 +216,11 @@ class MdlSpec extends AnyFunSuite {
     for (vs <- samples(column, 2000)) {
       val c = new Mdl.ColumnSummary
       vs.foreach(v => c.add("<" + v + ">", 1, v.length + 1)) // read in place
-      val want = refChoice(vs)
-      assert(c.choice == want, s"column ${vs.mkString("|")}")
-      assert(inferType(vs) == want._1)
-      want._1 match {
-        case _: Mdl.IntType  => ints += 1
-        case _: Mdl.RealType => reals += 1
-        case _               => ()
-      }
+      val (kind, bits) = refBits(vs)
+      assert(c.bits == bits, s"column ${vs.mkString("|")}")
+      assert(columnBits(vs) == bits)
+      if (kind == "integer") ints += 1
+      if (kind == "real") reals += 1
     }
     assert(ints > 100 && reals > 100, s"int columns $ints, real columns $reals")
   }

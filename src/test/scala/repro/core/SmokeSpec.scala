@@ -8,12 +8,12 @@ import repro.eval.Criteria
 class SmokeSpec extends AnyFunSuite {
 
   test("reduce: csv record folds to (F,)*F\\n") {
-    val t = TemplateOps.minimalTemplate("12,ab,3,xy\n", Set(',')).get
+    val t = MinimalTemplate("12,ab,3,xy\n", Set(',')).get
     assert(t.pretty == "(F,)*F\\n")
   }
 
   test("reduce: quoted csv folds to the §3.2 example") {
-    val t = TemplateOps.minimalTemplate("1,\"a,b\",x\n", Set(',', '"')).get
+    val t = MinimalTemplate("1,\"a,b\",x\n", Set(',', '"')).get
     assert(t.pretty == "F,\"(F,)*F\",F\\n")
   }
 

@@ -26,7 +26,7 @@ class TemplateOpsSpec extends AnyFunSuite {
   private def rt(text: String, cs: String): Vector[TElem] = recordTemplate(text, cs.toSet)
 
   private def mt(text: String, cs: String): String =
-    TemplateOps.minimalTemplate(text, cs.toSet).get.pretty
+    MinimalTemplate(text, cs.toSet).get.pretty
 
   // ---- recordTemplate
 
@@ -95,18 +95,18 @@ class TemplateOpsSpec extends AnyFunSuite {
 
   test("reduce: different repeat counts of same type give identical minimal template") {
     // bracketed colon-lists: the fold is anchored by '[' and ']'
-    val a = TemplateOps.minimalTemplate("[1:2] x\n", "[]: ".toSet).get
-    val b = TemplateOps.minimalTemplate("[1:2:3:4] y\n", "[]: ".toSet).get
+    val a = MinimalTemplate("[1:2] x\n", "[]: ".toSet).get
+    val b = MinimalTemplate("[1:2:3:4] y\n", "[]: ".toSet).get
     assert(a.canonical == b.canonical)
     // ... and space-separated word lists unify too
-    val c = TemplateOps.minimalTemplate("a b\n", " ".toSet).get
-    val d = TemplateOps.minimalTemplate("a b c d e\n", " ".toSet).get
+    val c = MinimalTemplate("a b\n", " ".toSet).get
+    val d = MinimalTemplate("a b c d e\n", " ".toSet).get
     assert(c.canonical == d.canonical)
   }
 
   test("reduce: trailing-separator lists do not fold into the array form") {
     // [a];[b]; has no A x A y shape with x != y at the list level
-    val t = TemplateOps.minimalTemplate("[a];[b];\n", "[];".toSet).get
+    val t = MinimalTemplate("[a];[b];\n", "[];".toSet).get
     assert(t.items.count {
       case TArray(_, ';', _) => true
       case _ => false
@@ -116,8 +116,8 @@ class TemplateOpsSpec extends AnyFunSuite {
   test("reduce: multi-line identical lines do not fold (x == y restriction)") {
     // the array form requires distinct separator/terminator; k identical
     // '\n'-terminated lines cannot become an array (documented limitation)
-    val t2 = TemplateOps.minimalTemplate("a:b\na:c\n", ":".toSet).get
-    val t3 = TemplateOps.minimalTemplate("a:b\na:c\na:d\n", ":".toSet).get
+    val t2 = MinimalTemplate("a:b\na:c\n", ":".toSet).get
+    val t3 = MinimalTemplate("a:b\na:c\na:d\n", ":".toSet).get
     assert(t2.canonical != t3.canonical)
   }
 
@@ -135,13 +135,13 @@ class TemplateOpsSpec extends AnyFunSuite {
   }
 
   test("minimalTemplate rejects field-less records") {
-    assert(TemplateOps.minimalTemplate(",,,\n", ",".toSet).isEmpty)
-    assert(TemplateOps.minimalTemplate("\n", "".toSet).isEmpty)
+    assert(MinimalTemplate(",,,\n", ",".toSet).isEmpty)
+    assert(MinimalTemplate("\n", "".toSet).isEmpty)
   }
 
   test("minimalTemplate rejects overlong item sequences") {
     val text = ("a," * 1000) + "b\n"
-    assert(TemplateOps.minimalTemplate(text, ",".toSet).isEmpty)
+    assert(MinimalTemplate(text, ",".toSet).isEmpty)
   }
 
   // ---- properties
@@ -154,7 +154,7 @@ class TemplateOpsSpec extends AnyFunSuite {
   test("property: all csv lines with >=2 columns reduce to the same template") {
     val canons = samples(genCsvLine, 150).collect {
       case (n, line) if n >= 2 =>
-        TemplateOps.minimalTemplate(line, Set(',')).get.canonical
+        MinimalTemplate(line, Set(',')).get.canonical
     }
     assert(canons.nonEmpty)
     assert(canons.distinct.size == 1)
@@ -163,7 +163,7 @@ class TemplateOpsSpec extends AnyFunSuite {
   test("property: reduction never changes the matched language's sample point") {
     // the reduced template must still match the very record it came from
     for ((_, line) <- samples(genCsvLine, 100, seed = 3)) {
-      val t = TemplateOps.minimalTemplate(line, Set(',')).get
+      val t = MinimalTemplate(line, Set(',')).get
       assert(ParseRecord(t, line).isDefined, s"template ${t.pretty} must match $line")
     }
   }
