@@ -13,6 +13,9 @@ import repro.core._
   * ROADMAP item 6), then runs the distributed extraction (each partition
   * runs the greedy cover from a stitched entry line) and writes one CSV
   * directory per relational table plus a `records` table of boundaries.
+  * A file of fewer than 20,000 lines is already whole in that sample: one
+  * task covers it, and each table is one partition, written as one CSV
+  * file.
   */
 object ExtractJob {
   def main(args: Array[String]): Unit = {

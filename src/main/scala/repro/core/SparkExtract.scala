@@ -26,6 +26,11 @@ import scala.collection.immutable.ArraySeq
   *     per row, because Spark sizes a deserialized cache by walking its
   *     elements' object graphs as it grows, while it only samples the
   *     elements of a large array.
+  *
+  * A file that [[inferAndExtract]]'s sample already holds whole skips steps
+  * 1-3: one task covers the sample from line 0 into one cached block, and
+  * each table is a one-partition DataFrame over it. Both cases build the
+  * block with one cover-to-rows loop and the tables with one set of schemas.
   */
 object SparkExtract {
 
@@ -89,31 +94,69 @@ object SparkExtract {
     for (pid <- 1 until exits.length)
       entries(pid) = exits(pid - 1)(entries(pid - 1)) - counts(pid - 1)
 
-    // output table k is template tid's schema j, numbered over templates × schemas;
-    // a row of array table t (-1 for the root) is schema t + 1
+    frames(spark, templates, onePartition = false, () => bcHeads.destroy()) { firstSlot =>
+      lines.mapPartitionsWithIndex { (pid, it) =>
+        val cover = new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), templates, maxSpan,
+          entries(pid), counts(pid), _ => false)
+        Iterator.single(block(cover, offsets(pid), firstSlot))
+      }
+    }
+  }
+
+  /** Extract with `templates` from `sample`, the whole file: one task
+    * covers it from line 0 into one block, so there is no heads job, no
+    * exit table and no stitch, and each table is one partition.
+    */
+  private def extractWhole(spark: SparkSession, sample: Array[String], templates: Vector[Template],
+      maxSpan: Int): SparkExtraction = {
+    val bcSample = spark.sparkContext.broadcast(sample)
+    frames(spark, templates, onePartition = true, () => bcSample.destroy()) { firstSlot =>
+      spark.sparkContext.parallelize(Seq(0), 1).map { _ =>
+        val lines = ArraySeq.unsafeWrapArray(bcSample.value)
+        block(new Datamaran.Cover(lines, templates, maxSpan, 0, lines.length, _ => false), 0L, firstSlot)
+      }
+    }
+  }
+
+  /** The rows of every record `cover` places, its lines numbered from
+    * `base`; a row of template tid's array table t (-1 for the root) goes to
+    * output table firstSlot(tid) + t + 1.
+    */
+  private def block(cover: Datamaran.Cover, base: Long, firstSlot: Vector[Int]): Block = {
+    val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
+    val recordRows = Array.newBuilder[Row]
+    cover.records.foreach { r =>
+      val start: java.lang.Long = base + r.start
+      val span: java.lang.Integer = r.span
+      recordRows += new GenericRow(Array[Any](r.typeIdx, start, span))
+      r.parsed.rows.foreach { tr =>
+        val row = new Array[Any](2 + tr.values.length)
+        row(0) = start
+        // the root table is keyed (record_id, span), an array table (record_id, ord)
+        row(1) = if (tr.table < 0) span else tr.ord
+        tr.values.copyToArray(row, 2)
+        tableRows(firstSlot(r.typeIdx) + tr.table + 1) += new GenericRow(row)
+      }
+    }
+    Block(tableRows.map(_.result()), recordRows.result())
+  }
+
+  /** The extraction over the blocks `blocksOf(firstSlot)` builds, cached:
+    * output table k is template tid's schema k - firstSlot(tid)
+    * ([[Relational.schemas]]), and its DataFrame reads array k of each
+    * block; with `onePartition` each DataFrame is declared one partition, so
+    * its `count()` needs no exchange. `release()` unpersists the blocks and
+    * runs `release`.
+    */
+  private def frames(spark: SparkSession, templates: Vector[Template], onePartition: Boolean, release: () => Unit)(
+      blocksOf: Vector[Int] => RDD[Block]): SparkExtraction = {
     val schemas = templates.map(Relational.schemas)
     val firstSlot = schemas.scanLeft(0)(_ + _.length)
-    val blocks: RDD[Block] = lines.mapPartitionsWithIndex { (pid, it) =>
-      val base = offsets(pid)
-      val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
-      val recordRows = Array.newBuilder[Row]
-      new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), templates, maxSpan,
-        entries(pid), counts(pid), _ => false).records.foreach { r =>
-        val start: java.lang.Long = base + r.start
-        val span: java.lang.Integer = r.span
-        recordRows += new GenericRow(Array[Any](r.typeIdx, start, span))
-        r.parsed.rows.foreach { tr =>
-          val row = new Array[Any](2 + tr.values.length)
-          row(0) = start
-          // the root table is keyed (record_id, span), an array table (record_id, ord)
-          row(1) = if (tr.table < 0) span else tr.ord
-          tr.values.copyToArray(row, 2)
-          tableRows(firstSlot(r.typeIdx) + tr.table + 1) += new GenericRow(row)
-        }
-      }
-      Iterator.single(Block(tableRows.map(_.result()), recordRows.result()))
-    }.cache()
-
+    val blocks = blocksOf(firstSlot).cache()
+    def frame(rows: RDD[Row], schema: StructType): DataFrame = {
+      val df = spark.createDataFrame(rows, schema)
+      if (onePartition) df.coalesce(1) else df
+    }
     val tables = schemas.zipWithIndex.flatMap { case (ss, tid) =>
       ss.zipWithIndex.map { case (sch, j) =>
         val k = firstSlot(tid) + j
@@ -123,7 +166,7 @@ object SparkExtract {
         val schema = StructType(StructField("record_id", LongType, nullable = false) +: key +:
           // column names: a field path's dots become underscores
           sch.cols.map(c => StructField(c.replace('.', '_'), StringType, nullable = false)))
-        ExtractedTable(tid, sch.path, spark.createDataFrame(blocks.flatMap(_.tables(k).iterator), schema))
+        ExtractedTable(tid, sch.path, frame(blocks.flatMap(_.tables(k).iterator), schema))
       }
     }
 
@@ -132,10 +175,10 @@ object SparkExtract {
       StructField("start_line", LongType, nullable = false),
       StructField("span", IntegerType, nullable = false)
     ))
-    val ex = SparkExtraction(spark.createDataFrame(blocks.flatMap(_.records.iterator), recSchema), tables)
+    val ex = SparkExtraction(frame(blocks.flatMap(_.records.iterator), recSchema), tables)
     ex.onRelease = () => {
       blocks.unpersist(blocking = false)
-      bcHeads.destroy()
+      release()
     }
     ex
   }
@@ -175,10 +218,14 @@ object SparkExtract {
   }
 
   /** End-to-end: infer structure on the file's first `sampleLines` lines,
-    * then extract the full distributed dataset. This is not yet the
-    * paper's whole-file sampling (§9.1): [[Datamaran.infer]] samples chunks
-    * only inside that head, so a format that first appears after it is
-    * extracted as noise (ROADMAP item 6).
+    * then extract the whole file. When `take(sampleLines)` returns fewer
+    * lines than it asked for, the sample is the whole file and one task
+    * covers it, so no Spark job runs between the `take` and the first table
+    * evaluated, and each table's `count()` is one job. Otherwise [[extract]]
+    * runs over the partitions of `lines`. This is
+    * not yet the paper's whole-file sampling (§9.1): [[Datamaran.infer]]
+    * samples chunks only inside that head, so a format that first appears
+    * after it is extracted as noise (ROADMAP item 6).
     */
   def inferAndExtract(
       spark: SparkSession,
@@ -186,9 +233,12 @@ object SparkExtract {
       p: DmParams = DmParams(),
       sampleLines: Int = 20000
   ): (Inference, SparkExtraction) = {
-    val sample = lines.take(sampleLines).toIndexedSeq
-    val inf = Datamaran.infer(sample, p)
-    val ex = extract(spark, lines, inf.types.map(_.template), p.maxSpan)
+    val sample = lines.take(sampleLines)
+    val inf = Datamaran.infer(ArraySeq.unsafeWrapArray(sample), p)
+    val templates = inf.types.map(_.template)
+    val ex =
+      if (sample.length < sampleLines) extractWhole(spark, sample, templates, p.maxSpan)
+      else extract(spark, lines, templates, p.maxSpan)
     (inf, ex)
   }
 }

@@ -106,14 +106,27 @@ class GenerationSpec extends AnyFunSuite {
     }
   }
 
-  /** GenST as the paper states it: reduce every candidate's joined text. */
+  /** GenST as the paper states it, without the line interner: every
+    * candidate's template is its lines' record templates, each reduced
+    * with [[TemplateOps.reduce]], concatenated; candidates are binned by
+    * that template.
+    */
   private def bruteForceGenST(lines: Vector[String], cs: Set[Char], pp: DmParams) = {
+    // a line's record template: each maximal run of non-formatting characters is one field
+    def lineTemplate(line: String): Vector[TElem] =
+      (line + "\n").foldLeft(Vector.empty[TElem]) {
+        case (acc, ch) if ch == '\n' || cs.contains(ch) => acc :+ TChar(ch)
+        case (acc, _) if acc.lastOption.contains(TField) => acc
+        case (acc, _) => acc :+ TField
+      }
     val bins = mutable.LinkedHashMap.empty[String, mutable.ArrayBuffer[(Int, Int, Int)]]
     for (i <- lines.indices; span <- 1 to pp.maxSpan if i + span <= lines.length) {
-      val text = lines.slice(i, i + span).map(_ + "\n").mkString
-      MinimalTemplate(text, cs).foreach { t =>
-        val literal = text.count(c => c == '\n' || cs.contains(c))
-        bins.getOrElseUpdate(t.canonical, mutable.ArrayBuffer.empty) += ((i, i + span, literal))
+      val cand = lines.slice(i, i + span)
+      val raw = cand.map(lineTemplate)
+      val items = raw.flatMap(TemplateOps.reduce)
+      if (raw.exists(_.contains(TField)) && items.length <= TemplateOps.MaxTemplateItems) {
+        val literal = cand.map(l => 1 + l.count(cs.contains)).sum
+        bins.getOrElseUpdate(Template(items).canonical, mutable.ArrayBuffer.empty) += ((i, i + span, literal))
       }
     }
     val lineChars = lines.map(_.length + 1L)

@@ -1,12 +1,17 @@
 package repro.core
 
+import org.apache.spark.SparkTestAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.loggen._
 
 /** Distributed extraction: equality with the sequential extractor on every
-  * partitioning, relational output correctness, release of cached data, and
-  * a DuckDB oracle round-trip.
+  * partitioning and through both branches of `inferAndExtract`, the jobs of
+  * its whole-file branch, relational output correctness, release of cached
+  * data, and a DuckDB oracle round-trip.
   */
 class SparkExtractSpec extends SparkSpec {
 
@@ -19,6 +24,22 @@ class SparkExtractSpec extends SparkSpec {
 
   private def templatesFor(gt: GtDataset): Vector[Template] =
     Datamaran.infer(gt.lines, DmParams()).types.map(_.template)
+
+  /** The jobs `f` starts, counted by a listener on the driver. */
+  private def jobsOf[A](f: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val started = new java.util.concurrent.atomic.AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
+    }
+    SparkTestAccess.drainListeners(sc)
+    sc.addSparkListener(listener)
+    try {
+      val a = f
+      SparkTestAccess.drainListeners(sc)
+      (a, started.get)
+    } finally sc.removeSparkListener(listener)
+  }
 
   test("property: spark equals local on every partitioning, row for row") {
     def twoTypes(seed: Long): GtDataset = {
@@ -79,6 +100,7 @@ class SparkExtractSpec extends SparkSpec {
         ("empty", Vector.empty[String], Vector(pair), Some(0)),
         ("one line", Vector("a,b"), Vector(pair), Some(1))
       )
+    val p = DmParams()
     for ((name, lines, ts, expected) <- inputs) {
       assert(ts.nonEmpty, name)
       val local = Datamaran.extract(lines, ts, 10)
@@ -101,7 +123,52 @@ class SparkExtractSpec extends SparkSpec {
         SparkEquality.mismatch(ex, local).foreach(m => fail(s"$name, $k partitions: $m"))
         ex.release()
       }
+      // through the entry point, on both branches: a sample longer than the file
+      // holds it whole (one partition); one of n or n/2 lines leaves the partitions
+      for ((sampleLines, parts) <- Vector(n + 1 -> 1, n -> 3, n / 2 -> 3) if sampleLines >= 1) {
+        val (inf, ex) = SparkExtract.inferAndExtract(spark, spark.sparkContext.parallelize(lines, 3), p, sampleLines)
+        assert(ex.records.rdd.getNumPartitions == parts, s"$name, sample $sampleLines")
+        SparkEquality.mismatch(ex, Datamaran.extract(lines, inf.types.map(_.template), p.maxSpan))
+          .foreach(m => fail(s"$name, sample $sampleLines: $m"))
+        ex.release()
+      }
     }
+  }
+
+  test("a file the sample holds runs no job after its take until a table is evaluated, and one per count") {
+    val rdd = spark.sparkContext.parallelize(crashGt(60, 0.05, 28).lines, 3)
+    val (_, takeJobs) = jobsOf(rdd.take(20000))
+    val ((inf, ex), callJobs) = jobsOf(SparkExtract.inferAndExtract(spark, rdd))
+    assert(inf.types.nonEmpty && ex.tables.nonEmpty)
+    assert(callJobs == takeJobs)
+    for (df <- ex.records +: ex.tables.map(_.df))
+      assert(jobsOf(df.count())._2 == 1, df.schema.simpleString)
+    ex.release()
+    // the partition path, for contrast: a heads job and an exit-table job after the take
+    val n = rdd.count().toInt
+    val (_, partTakeJobs) = jobsOf(rdd.take(n))
+    val ((_, part), partJobs) = jobsOf(SparkExtract.inferAndExtract(spark, rdd, DmParams(), n))
+    assert(partJobs == partTakeJobs + 2)
+    part.release()
+  }
+
+  test("release unpersists a whole-file extraction's block and destroys its sample broadcast") {
+    val sc = spark.sparkContext
+    val lines = crashGt(30, 0.05, 29).lines
+    def holdsSample = SparkTestAccess.driverBroadcasts(sc).count {
+      case a: Array[String] => a.sameElements(lines)
+      case _ => false
+    }
+    val before = sc.getPersistentRDDs.keySet
+    val (_, ex) = SparkExtract.inferAndExtract(spark, sc.parallelize(lines, 2))
+    assert(ex.records.count() > 0)
+    ex.tables.foreach(_.df.count())
+    assert(sc.getPersistentRDDs.keySet.diff(before).size == 1)
+    assert(holdsSample == 1)
+    ex.release()
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
+    // destroy() removes the broadcast's blocks asynchronously
+    eventually(timeout(Span(30, Seconds)))(assert(holdsSample == 0))
   }
 
   test("release unpersists the cached rows") {
