@@ -27,7 +27,7 @@ import repro.loggen.{Corpus, LogSynth}
   *   sbt "bench/testOnly repro.bench.EquivalenceDigestBench" | grep '^EQ ' > eq.txt
   *
   * Under exhaustive search it also asserts that `SparkExtract.extract` over
-  * 7 partitions gives the local records and table rows.
+  * 7 and over 61 partitions gives the local records and table rows.
   */
 class EquivalenceDigestBench extends SparkSpec {
 
@@ -67,7 +67,7 @@ class EquivalenceDigestBench extends SparkSpec {
         }
         val mode = if (exhaustive) "exhaustive" else "greedy"
         val line = s"EQ $mode ${spec.id} ${d.hex} types=${ts.length} records=${recs.length}"
-        val (rbLine, mismatch) = if (!exhaustive) (None, None) else {
+        val (rbLine, mismatches) = if (!exhaustive) (None, Vector.empty) else {
           val rb = RecordBreaker.run(gt.lines)
           val drb = new Digest
           for (s <- rb.structs) {
@@ -75,11 +75,12 @@ class EquivalenceDigestBench extends SparkSpec {
             drb.add(s.lineIdxs.mkString(" "))
           }
           drb.add(rb.unexplained.mkString(" "))
-          val rdd = spark.sparkContext.parallelize(gt.lines, 7)
-          (Some(s"EQ rb ${spec.id} ${drb.hex}"),
-            SparkEquality.mismatch(SparkExtract.extract(spark, rdd, ts, p.maxSpan), recs))
+          (Some(s"EQ rb ${spec.id} ${drb.hex}"), Vector(7, 61).flatMap { k =>
+            val ex = SparkExtract.extract(spark, spark.sparkContext.parallelize(gt.lines, k), ts, p.maxSpan)
+            try SparkEquality.mismatch(ex, recs).map(m => s"$k partitions: $m") finally ex.release()
+          })
         }
-        (line +: rbLine.toVector, mismatch.map(m => s"${spec.id}: $m"))
+        (line +: rbLine.toVector, mismatches.map(m => s"${spec.id}: $m"))
       }
       Await.result(Future.sequence(futures), Duration.Inf)
     } finally pool.shutdown()

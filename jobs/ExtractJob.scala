@@ -18,11 +18,21 @@ import repro.core._
   * file.
   */
 object ExtractJob {
+  private val Usage = "usage: ExtractJob <input.log> <outputDir> [greedy|exhaustive]"
+
+  /** The input file, the output directory and whether search is exhaustive
+    * (the default); any other mode or argument count fails with the usage
+    * message.
+    */
+  def arguments(args: Array[String]): (String, String, Boolean) = args match {
+    case Array(input, outDir) => (input, outDir, true)
+    case Array(input, outDir, "exhaustive") => (input, outDir, true)
+    case Array(input, outDir, "greedy") => (input, outDir, false)
+    case _ => throw new IllegalArgumentException(Usage)
+  }
+
   def main(args: Array[String]): Unit = {
-    require(args.length >= 2, "usage: ExtractJob <input.log> <outputDir> [greedy|exhaustive]")
-    val input = args(0)
-    val outDir = args(1)
-    val exhaustive = args.length < 3 || args(2) != "greedy"
+    val (input, outDir, exhaustive) = arguments(args)
     val spark = SparkSession.builder()
       .appName("datamaran-extract")
       .config("spark.sql.shuffle.partitions", 64)

@@ -175,18 +175,19 @@ object Datamaran {
     * a formatting character, so a record starting at a line has at most one
     * parse); unmatched lines are noise.
     * It places records only at lines before `until` (a record may run past
-    * it) and ends at the first line at or past `until` that it reaches, or
-    * earlier at the first line where `stop` holds. [[advance]] places one
-    * record at a time and leaves its parse in [[parse]]; once the cover is
-    * exhausted, `exit` is the line where it ended.
+    * it) and ends at the first line at or past `until` that it reaches.
+    * [[advance]] places one record at a time and leaves its parse in
+    * [[parse]]; once the cover is exhausted, `exit` is the line where it
+    * ended. Its path from a line depends only on that line, so two covers
+    * that place a record at one line are one from there on (the join rule
+    * of [[SparkExtract]]'s exit tables).
     */
   final class Cover(
       lines: IndexedSeq[String],
       templates: Vector[Template],
       maxSpan: Int,
       from: Int,
-      until: Int,
-      stop: Int => Boolean
+      until: Int
   ) {
     private val programs = templates.map(_.program).toArray
     private var i = from
@@ -200,7 +201,7 @@ object Datamaran {
 
     /** Place the next record; false once the cover is exhausted. */
     def advance(): Boolean = {
-      while (i < until && !stop(i)) {
+      while (i < until) {
         var tid = 0
         while (tid < programs.length) {
           val s = programs(tid).parse(lines, i, maxSpan, parse)
@@ -231,7 +232,7 @@ object Datamaran {
       templates: Vector[Template],
       maxSpan: Int
   ): Vector[RecordInstance] =
-    new Cover(lines, templates, maxSpan, 0, lines.length, _ => false).records.toVector
+    new Cover(lines, templates, maxSpan, 0, lines.length).records.toVector
 
   /** Convenience: full pipeline on in-memory lines, timing extraction too. */
   def run(lines: IndexedSeq[String], p: DmParams = DmParams()): (Inference, Vector[RecordInstance]) = {

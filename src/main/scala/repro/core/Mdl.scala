@@ -57,7 +57,7 @@ object Mdl {
     var noiseChars = 0L
     var bareChars = 0L
     var next = 0 // first line after the previous record
-    val cover = new Datamaran.Cover(lines, Vector(t), maxSpan, 0, lines.length, _ => false)
+    val cover = new Datamaran.Cover(lines, Vector(t), maxSpan, 0, lines.length)
     val p = cover.parse
     while (cover.advance()) {
       val start = cover.start

@@ -16,21 +16,22 @@ import scala.collection.immutable.ArraySeq
   *
   *  1. one job returns each partition's line count and first L-1 lines;
   *  2. one job returns each partition's exit table: for each entry offset
-  *     e < L, where the cover entered at e leaves the partition;
+  *     e < L, where the cover entered at e leaves the partition, which for
+  *     e >= 1 is known once it joins the e = 0 cover ([[exitTable]]);
   *  3. the driver stitches the entries left to right through the tables,
   *     and the cached rows stage replays each partition's cover from its
   *     entry, emitting the relational rows (§3.3/Fig 7) of every record.
-  *     A partition's rows are cached as one block: an `Array[Row]` per
-  *     output table and one for the records table, and each table's
-  *     DataFrame reads its own array. One object per partition, not one
-  *     per row, because Spark sizes a deserialized cache by walking its
+  *     A partition's rows are cached as one block, an `Array[Row]` per
+  *     output table with the records table in slot 0, and each table's
+  *     DataFrame reads its own slot. One object per partition, not one per
+  *     row, because Spark sizes a deserialized cache by walking its
   *     elements' object graphs as it grows, while it only samples the
   *     elements of a large array.
   *
   * A file that [[inferAndExtract]]'s sample already holds whole skips steps
-  * 1-3: one task covers the sample from line 0 into one cached block, and
-  * each table is a one-partition DataFrame over it. Both cases build the
-  * block with one cover-to-rows loop and the tables with one set of schemas.
+  * 1-3: one task covers the sample from line 0 into one cached block. Both
+  * cases build the block with one cover-to-rows loop and the tables with one
+  * set of schemas, and blocks in one partition give one-partition tables.
   */
 object SparkExtract {
 
@@ -39,28 +40,17 @@ object SparkExtract {
     */
   final case class ExtractedTable(typeIdx: Int, path: String, df: DataFrame)
 
-  final case class SparkExtraction(
-      /** (type_idx, start_line, span) per extracted record. */
-      records: DataFrame,
-      tables: Vector[ExtractedTable]
-  ) {
-    private[SparkExtract] var onRelease: () => Unit = () => ()
+  /** The records table (type_idx, start_line, span per record) and every output table. */
+  final class SparkExtraction private[SparkExtract] (val records: DataFrame, val tables: Vector[ExtractedTable],
+      free: () => Unit) {
+    private var released = false
 
-    /** Unpersist the cached rows and destroy the broadcast of the call
-      * that made this extraction. Call it once its tables are written: the
-      * DataFrames cannot be evaluated afterwards.
+    /** Unpersist the cached rows and destroy the broadcast of the call that
+      * made this extraction (`free`); a second call does nothing. Call it once
+      * its tables are written: the DataFrames cannot be evaluated afterwards.
       */
-    def release(): Unit = {
-      onRelease()
-      onRelease = () => ()
-    }
+    def release(): Unit = if (!released) { released = true; free() }
   }
-
-  /** One partition's output rows: `tables(k)` holds output table k's rows
-    * (the tables numbered over templates × [[Relational.schemas]]), and
-    * `records` the (type_idx, start_line, span) row of each record.
-    */
-  private final case class Block(tables: Array[Array[Row]], records: Array[Row])
 
   /** Distribute `lines` and extract with `templates` (priority order). */
   def extract(
@@ -94,13 +84,12 @@ object SparkExtract {
     for (pid <- 1 until exits.length)
       entries(pid) = exits(pid - 1)(entries(pid - 1)) - counts(pid - 1)
 
-    frames(spark, templates, onePartition = false, () => bcHeads.destroy()) { firstSlot =>
-      lines.mapPartitionsWithIndex { (pid, it) =>
-        val cover = new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), templates, maxSpan,
-          entries(pid), counts(pid), _ => false)
-        Iterator.single(block(cover, offsets(pid), firstSlot))
-      }
+    val blocks = lines.mapPartitionsWithIndex { (pid, it) =>
+      val cover = new Datamaran.Cover(window(it, pid, bcHeads.value, maxSpan), templates, maxSpan,
+        entries(pid), counts(pid))
+      Iterator.single(block(cover, offsets(pid), slots(templates)))
     }
+    frames(spark, templates, blocks, () => bcHeads.destroy())
   }
 
   /** Extract with `templates` from `sample`, the whole file: one task
@@ -110,63 +99,64 @@ object SparkExtract {
   private def extractWhole(spark: SparkSession, sample: Array[String], templates: Vector[Template],
       maxSpan: Int): SparkExtraction = {
     val bcSample = spark.sparkContext.broadcast(sample)
-    frames(spark, templates, onePartition = true, () => bcSample.destroy()) { firstSlot =>
-      spark.sparkContext.parallelize(Seq(0), 1).map { _ =>
-        val lines = ArraySeq.unsafeWrapArray(bcSample.value)
-        block(new Datamaran.Cover(lines, templates, maxSpan, 0, lines.length, _ => false), 0L, firstSlot)
-      }
+    val blocks = spark.sparkContext.parallelize(Seq(0), 1).map { _ =>
+      val lines = ArraySeq.unsafeWrapArray(bcSample.value)
+      block(new Datamaran.Cover(lines, templates, maxSpan, 0, lines.length), 0L, slots(templates))
     }
+    frames(spark, templates, blocks, () => bcSample.destroy())
   }
 
-  /** The rows of every record `cover` places, its lines numbered from
-    * `base`; a row of template tid's array table t (-1 for the root) goes to
-    * output table firstSlot(tid) + t + 1.
+  /** Where each template's output tables sit in a block: slot 0 holds the
+    * records table, and template tid's table t (-1 for the root) sits at
+    * firstSlot(tid) + t + 1; the last entry is the slot count.
     */
-  private def block(cover: Datamaran.Cover, base: Long, firstSlot: Vector[Int]): Block = {
-    val tableRows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
-    val recordRows = Array.newBuilder[Row]
+  private def slots(templates: Vector[Template]): Vector[Int] =
+    templates.scanLeft(1)(_ + _.program.arrays.length + 1)
+
+  /** The rows of every record `cover` places, its lines numbered from
+    * `base`, in the slots of [[slots]].
+    */
+  private def block(cover: Datamaran.Cover, base: Long, firstSlot: Vector[Int]): Array[Array[Row]] = {
+    val rows = Array.fill(firstSlot.last)(Array.newBuilder[Row])
     cover.records.foreach { r =>
       val start: java.lang.Long = base + r.start
       val span: java.lang.Integer = r.span
-      recordRows += new GenericRow(Array[Any](r.typeIdx, start, span))
+      rows(0) += new GenericRow(Array[Any](r.typeIdx, start, span))
       r.parsed.rows.foreach { tr =>
         val row = new Array[Any](2 + tr.values.length)
         row(0) = start
         // the root table is keyed (record_id, span), an array table (record_id, ord)
         row(1) = if (tr.table < 0) span else tr.ord
         tr.values.copyToArray(row, 2)
-        tableRows(firstSlot(r.typeIdx) + tr.table + 1) += new GenericRow(row)
+        rows(firstSlot(r.typeIdx) + tr.table + 1) += new GenericRow(row)
       }
     }
-    Block(tableRows.map(_.result()), recordRows.result())
+    rows.map(_.result())
   }
 
-  /** The extraction over the blocks `blocksOf(firstSlot)` builds, cached:
-    * output table k is template tid's schema k - firstSlot(tid)
-    * ([[Relational.schemas]]), and its DataFrame reads array k of each
-    * block; with `onePartition` each DataFrame is declared one partition, so
-    * its `count()` needs no exchange. `release()` unpersists the blocks and
-    * runs `release`.
+  /** The extraction over `blocks`, cached: output table k of template tid is
+    * its schema k ([[Relational.schemas]]) and reads slot firstSlot(tid) + k
+    * of each block. Over blocks in one partition each DataFrame is declared
+    * one partition, so its `count()` needs no exchange. `release()`
+    * unpersists the blocks and runs `free`.
     */
-  private def frames(spark: SparkSession, templates: Vector[Template], onePartition: Boolean, release: () => Unit)(
-      blocksOf: Vector[Int] => RDD[Block]): SparkExtraction = {
-    val schemas = templates.map(Relational.schemas)
-    val firstSlot = schemas.scanLeft(0)(_ + _.length)
-    val blocks = blocksOf(firstSlot).cache()
-    def frame(rows: RDD[Row], schema: StructType): DataFrame = {
-      val df = spark.createDataFrame(rows, schema)
-      if (onePartition) df.coalesce(1) else df
+  private def frames(spark: SparkSession, templates: Vector[Template], blocks: RDD[Array[Array[Row]]],
+      free: () => Unit): SparkExtraction = {
+    blocks.cache()
+    def frame(slot: Int, schema: StructType): DataFrame = {
+      val df = spark.createDataFrame(blocks.flatMap(_(slot).iterator), schema)
+      if (blocks.getNumPartitions == 1) df.coalesce(1) else df
     }
-    val tables = schemas.zipWithIndex.flatMap { case (ss, tid) =>
-      ss.zipWithIndex.map { case (sch, j) =>
-        val k = firstSlot(tid) + j
+    val firstSlot = slots(templates)
+    val tables = templates.zipWithIndex.flatMap { case (t, tid) =>
+      Relational.schemas(t).zipWithIndex.map { case (sch, k) =>
         val key =
           if (sch.path.isEmpty) StructField("span", IntegerType, nullable = false)
           else StructField("ord", StringType, nullable = false)
         val schema = StructType(StructField("record_id", LongType, nullable = false) +: key +:
           // column names: a field path's dots become underscores
           sch.cols.map(c => StructField(c.replace('.', '_'), StringType, nullable = false)))
-        ExtractedTable(tid, sch.path, frame(blocks.flatMap(_.tables(k).iterator), schema))
+        ExtractedTable(tid, sch.path, frame(firstSlot(tid) + k, schema))
       }
     }
 
@@ -175,12 +165,10 @@ object SparkExtract {
       StructField("start_line", LongType, nullable = false),
       StructField("span", IntegerType, nullable = false)
     ))
-    val ex = SparkExtraction(frame(blocks.flatMap(_.records.iterator), recSchema), tables)
-    ex.onRelease = () => {
+    new SparkExtraction(frame(0, recSchema), tables, () => {
       blocks.unpersist(blocking = false)
-      release()
-    }
-    ex
+      free()
+    })
   }
 
   /** Partition `pid`'s lines followed by the next `maxSpan - 1` lines of
@@ -195,22 +183,31 @@ object SparkExtract {
     * entered at e leaves the partition's `n` lines (at or past `n`; e itself
     * when e >= n, since such an entry skips the partition). Only the
     * offsets below `entered` are computed; the others keep e.
+    *
+    * The e = 0 cover runs in full and marks each line where it places a
+    * record. Every other cover runs until it places a record at one of
+    * those lines, and then leaves where the e = 0 cover does: a cover's
+    * path from a line depends only on that line, so two covers that place
+    * a record at the same line are one from there on. Meeting the e = 0
+    * cover anywhere else changes nothing: on a line it left as noise both
+    * covers fail and step on, so their next records start together, and if
+    * no record remains before `n`, both leave at `n`. A cover that never
+    * joins runs to its own exit.
     */
   private def exitTable(window: IndexedSeq[String], n: Int, ts: Vector[Template], maxSpan: Int,
       entered: Int): Array[Int] = {
     val exits = Array.tabulate(maxSpan)(identity)
     if (n > 0) {
-      // the lines the e = 0 cover visits: all but the inner lines of its records
-      val visited = new java.util.BitSet(n)
-      visited.set(0, n)
-      val first = new Datamaran.Cover(window, ts, maxSpan, 0, n, _ => false)
-      while (first.advance()) visited.clear(first.start + 1, math.min(first.start + first.span, n))
+      val starts = new java.util.BitSet(n)
+      val first = new Datamaran.Cover(window, ts, maxSpan, 0, n)
+      while (first.advance()) starts.set(first.start)
       exits(0) = first.exit
       var e = 1
       while (e < math.min(n, entered)) {
-        val c = new Datamaran.Cover(window, ts, maxSpan, e, n, i => visited.get(i))
-        while (c.advance()) ()
-        exits(e) = if (c.exit < n) exits(0) else c.exit
+        val c = new Datamaran.Cover(window, ts, maxSpan, e, n)
+        var joined = false
+        while (!joined && c.advance()) joined = starts.get(c.start)
+        exits(e) = if (joined) exits(0) else c.exit
         e += 1
       }
     }
@@ -222,10 +219,10 @@ object SparkExtract {
     * lines than it asked for, the sample is the whole file and one task
     * covers it, so no Spark job runs between the `take` and the first table
     * evaluated, and each table's `count()` is one job. Otherwise [[extract]]
-    * runs over the partitions of `lines`. This is
-    * not yet the paper's whole-file sampling (§9.1): [[Datamaran.infer]]
-    * samples chunks only inside that head, so a format that first appears
-    * after it is extracted as noise (ROADMAP item 6).
+    * runs over the partitions of `lines`. This is not yet the paper's
+    * whole-file sampling (§9.1): [[Datamaran.infer]] samples chunks only
+    * inside that head, so a format that first appears after it is
+    * extracted as noise (ROADMAP item 6).
     */
   def inferAndExtract(
       spark: SparkSession,

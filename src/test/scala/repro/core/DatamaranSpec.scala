@@ -132,7 +132,7 @@ class DatamaranSpec extends AnyFunSuite {
     val t1 = Template(Vector(TField, TChar(','), TField, TChar('\n')))
     val t2 = Template(Vector(TArray(Vector(TField), ',', '\n')))
     def typeAndSpan(line: String) = {
-      val c = new Datamaran.Cover(Vector(line), Vector(t1, t2), 10, 0, 1, _ => false)
+      val c = new Datamaran.Cover(Vector(line), Vector(t1, t2), 10, 0, 1)
       Option.when(c.advance())((c.typeIdx, c.span))
     }
     assert(typeAndSpan("x,y").contains((0, 1)))

@@ -10,8 +10,8 @@ import repro.loggen._
 
 /** Distributed extraction: equality with the sequential extractor on every
   * partitioning and through both branches of `inferAndExtract`, the jobs of
-  * its whole-file branch, relational output correctness, release of cached
-  * data, and a DuckDB oracle round-trip.
+  * one-partition extractions, relational output correctness, release of
+  * cached data, and a DuckDB oracle round-trip.
   */
 class SparkExtractSpec extends SparkSpec {
 
@@ -183,6 +183,26 @@ class SparkExtractSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.keySet.diff(before).size == 1)
     ex.release()
     assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
+    // a second release is a no-op: destroying the heads broadcast again would throw
+    ex.release()
+    assert(sc.getPersistentRDDs.keySet.diff(before).isEmpty)
+  }
+
+  test("extract over one partition gives one-partition tables, each counted in one job with no exchange") {
+    val gt = crashGt(30, 0.05, 30)
+    val ts = templatesFor(gt)
+    def frames(ex: SparkExtract.SparkExtraction) = ex.records +: ex.tables.map(_.df)
+    val one = SparkExtract.extract(spark, spark.sparkContext.parallelize(gt.lines, 1), ts, 10)
+    assert(one.tables.nonEmpty)
+    for (df <- frames(one)) {
+      assert(df.rdd.getNumPartitions == 1, df.schema.simpleString)
+      assert(!df.groupBy().count().queryExecution.executedPlan.treeString.contains("Exchange"), df.schema.simpleString)
+      assert(jobsOf(df.count())._2 == 1, df.schema.simpleString)
+    }
+    one.release()
+    val three = SparkExtract.extract(spark, spark.sparkContext.parallelize(gt.lines, 3), ts, 10)
+    for (df <- frames(three)) assert(df.rdd.getNumPartitions == 3, df.schema.simpleString)
+    three.release()
   }
 
   test("a deserialized template compiles its own parse program and parses") {
