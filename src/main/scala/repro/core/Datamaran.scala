@@ -92,7 +92,10 @@ object Datamaran {
       // genST already enforced the alpha threshold relative to the scanned
       // sample (Assumption 1); only exclude already-accepted templates here
       val fresh = stats.filterNot(s => acceptedCanon.contains(s.template.canonical))
-      if (fresh.isEmpty) {
+      // an accepted type anchors alpha of the sample's chars in records of
+      // the residual, so a residual holding fewer chars accepts none: it is
+      // neither pruned nor evaluated
+      if (fresh.isEmpty || residual.iterator.map(_.length + 1L).sum < p.alpha * sampleTotalChars) {
         timings += StepTimings(genNs, 0, 0, 0)
         done = true
       } else {
@@ -130,26 +133,34 @@ object Datamaran {
     Inference(accepted.result(), timings, lastK, sample.length)
   }
 
-  /** Evaluation step over pruned candidates (in priority order): refine
-    * each (with the coverage guard and a can't-win shortcut against the
-    * best score so far), then select by near-tie rules: candidates whose
-    * description-length SAVINGS over the all-noise baseline are within the
-    * tie band of the best are considered equal; ties prefer more records
-    * (rejects k-fold self-concatenations), then earliest first occurrence
-    * (structure shifting), then score, then the shorter template. The band
-    * is relative to the savings, not total DL, so noise-dominated datasets
-    * do not drown the signal.
+  /** Evaluation step over pruned candidates (in priority order): scan
+    * each, then refine each that passes the coverage guard and a can't-win
+    * shortcut against the best refined score so far, then select by
+    * near-tie rules: candidates whose description-length SAVINGS over the
+    * all-noise baseline are within the tie band of the best are considered
+    * equal; ties prefer more records (rejects k-fold self-concatenations),
+    * then earliest first occurrence (structure shifting), then score, then
+    * the shorter template. The band is relative to the savings, not total
+    * DL, so noise-dominated datasets do not drown the signal. The initial
+    * scans run in parallel; the guards and the refinements run in priority
+    * order, so the result does not depend on the scans' order.
     */
   def evaluateBest(
       top: Vector[TemplateStat],
       lines: IndexedSeq[String],
       p: DmParams,
       noiseDl: Double
-  ): Option[(Template, Mdl.ParseScan, Double)] = {
+  ): Option[Refine.Scored] = {
+    val initial = Refine.parMap(top.length)(i => Refine.scored(top(i).template, lines, p.maxSpan))
     var bestSoFar = Double.MaxValue
-    val evaluated = top.flatMap { s =>
+    val evaluated = initial.toVector.flatMap { s0 =>
+      // templates below the acceptance coverage can never win, and templates
+      // scoring far above the best candidate seen so far cannot recover
+      // through unfolding (unfolds only sharpen field typing): neither is
+      // refined
       val (t, sc, score) =
-        Refine.refine(s.template, lines, p.maxSpan, p.alpha, bestSoFar * 1.6)
+        if (s0._2.coverage < p.alpha || s0._3 > bestSoFar * 1.6) s0
+        else Refine.refine(s0, lines, p.maxSpan)
       if (score < bestSoFar) bestSoFar = score
       if (sc.recordCount == 0) None
       else Some((t, sc, score))

@@ -366,10 +366,13 @@ object Generation {
 
   /** Pruning step (paper §4.2): order by assimilation score, keep top M.
     * Ties (e.g. a template and its k-fold self-concatenation under unique
-    * coverage) break toward the shorter template.
+    * coverage) break toward the shorter template. Each sort key is built
+    * once, not once per comparison.
     */
   def prune(stats: Vector[TemplateStat], p: DmParams): Vector[TemplateStat] =
     stats
-      .sortBy(s => (-s.assimilation, s.template.canonical.length, s.template.canonical))
+      .map(s => ((-s.assimilation, s.template.canonical.length, s.template.canonical), s))
+      .sortBy(_._1)
       .take(p.topM)
+      .map(_._2)
 }

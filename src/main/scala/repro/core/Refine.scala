@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.concurrent.{ForkJoinPool, ForkJoinTask}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+import scala.reflect.ClassTag
+
 /** Structure refinement (paper §4.3): array unfolding and structure
   * shifting, applied to the top-M templates during the evaluation step.
   * Each revision is kept only when it improves the regularity score.
@@ -80,60 +84,78 @@ object Refine {
     (1 until segments.length).toVector.map(s => Template((segments.drop(s) ++ segments.take(s)).flatten))
   }
 
-  /** Apply the RefineST loop of Algorithm 2 to a period-reduced template
-    * ([[periodReduce]]): repeatedly take the best score-improving unfold;
-    * then resolve shifting ambiguity by earliest first occurrence in the
-    * data.
+  /** A template with its scan of the sample and its score. */
+  type Scored = (Template, Mdl.ParseScan, Double)
+
+  /** Scan `t` over `lines` and score it. */
+  def scored(t: Template, lines: IndexedSeq[String], maxSpan: Int): Scored = {
+    val sc = Mdl.scan(t, lines, maxSpan)
+    (t, sc, Mdl.score(t, sc))
+  }
+
+  /** f(0), ..., f(n - 1), computed in parallel ([[parFor]]). */
+  private[core] def parMap[A: ClassTag](n: Int)(f: Int => A): Array[A] = {
+    val out = new Array[A](n)
+    parFor(n)(i => out(i) = f(i))
+    out
+  }
+
+  /** body(0), ..., body(n - 1) on the calling thread and on up to n - 1
+    * tasks of the JVM's common ForkJoinPool, which take indices from one
+    * counter until none is left. Returns when every call has returned.
     */
-  def refine(
-      t0: Template,
-      lines: IndexedSeq[String],
-      maxSpan: Int,
-      minCoverage: Double,
-      skipIfAbove: Double
-  ): (Template, Mdl.ParseScan, Double) = {
-    var t = t0
-    var sc = Mdl.scan(t, lines, maxSpan)
-    var score = Mdl.score(t, sc)
-    // templates below the acceptance coverage can never win, and templates
-    // scoring far above the best candidate seen so far cannot recover
-    // through unfolding (unfolds only sharpen field typing) — skip the
-    // expensive loop for both
-    if (sc.coverage < minCoverage || score > skipIfAbove) return (t, sc, score)
+  private[core] def parFor(n: Int)(body: Int => Unit): Unit = {
+    val next = new AtomicInteger(0)
+    val work: Runnable = () => {
+      var i = next.getAndIncrement()
+      while (i < n) { body(i); i = next.getAndIncrement() }
+    }
+    val helpers = Array.fill[ForkJoinTask[_]](math.min(n - 1, ForkJoinPool.getCommonPoolParallelism))(
+      ForkJoinTask.adapt(work).fork())
+    work.run()
+    helpers.foreach(_.join())
+  }
+
+  /** Apply the RefineST loop of Algorithm 2 to a period-reduced template
+    * ([[periodReduce]]) with its scan: repeatedly take the best
+    * score-improving unfold; then resolve shifting ambiguity by earliest
+    * first occurrence in the data. The scans of a round's unfolds and of
+    * the cyclic shifts run in parallel; the choice among them is the serial
+    * one, in candidate order.
+    */
+  def refine(start: Scored, lines: IndexedSeq[String], maxSpan: Int): Scored = {
+    var (t, sc, score) = start
     var improved = true
     var rounds = 0
     while (improved && rounds < 5) {
       improved = false
       rounds += 1
       val cands = unfoldCandidates(t, sc.arrays.map(_.counts))
-      var best: Option[(Template, Mdl.ParseScan, Double)] = None
-      for (c <- cands) {
-        val csc = Mdl.scan(c, lines, maxSpan)
-        if (csc.recordCount > 0) {
-          val cs = Mdl.score(c, csc)
-          if (cs < score && best.forall(_._3 > cs)) best = Some((c, csc, cs))
-        }
+      val parent = score
+      // the lowest score below the parent's, the earliest candidate on a
+      // tie, kept as the scans finish: no round holds every candidate's scan
+      val best = new AtomicReference[(Int, Scored)]
+      parFor(cands.length) { i =>
+        val c = scored(cands(i), lines, maxSpan)
+        if (c._2.recordCount > 0 && c._3 < parent)
+          best.accumulateAndGet((i, c), (a, b) =>
+            if (a == null || b._2._3 < a._2._3 || (b._2._3 == a._2._3 && b._1 < a._1)) b else a)
       }
-      best.foreach { case (c, csc, cs) =>
+      if (best.get != null) {
+        val (_, (c, csc, cs)) = best.get
         t = c; sc = csc; score = cs; improved = true
       }
     }
     // structure shifting: among cyclic variants with comparable score,
     // pick the earliest first occurrence (ties keep the original)
     val shifts = cyclicShifts(t)
-    if (shifts.nonEmpty) {
-      var bestT = t; var bestSc = sc; var bestScore = score
-      for (s <- shifts) {
-        val ssc = Mdl.scan(s, lines, maxSpan)
-        if (ssc.recordCount > 0) {
-          val sscore = Mdl.score(s, ssc)
-          if (sscore <= bestScore * 1.02 && ssc.firstStart < bestSc.firstStart) {
-            bestT = s; bestSc = ssc; bestScore = sscore
-          }
-        }
+    val shifted = parMap(shifts.length)(i => scored(shifts(i), lines, maxSpan))
+    var bestT = t; var bestSc = sc; var bestScore = score
+    for ((s, ssc, sscore) <- shifted) {
+      if (ssc.recordCount > 0 && sscore <= bestScore * 1.02 && ssc.firstStart < bestSc.firstStart) {
+        bestT = s; bestSc = ssc; bestScore = sscore
       }
-      t = bestT; sc = bestSc; score = bestScore
     }
-    (t, sc, score)
+    (bestT, bestSc, bestScore)
   }
 }
